@@ -6,10 +6,7 @@ delegates task dispatch to a pluggable :class:`Executor` strategy:
 ``"inline"`` (reference), ``"thread"`` (latency-bound parallelism),
 ``"process"`` (CPU-bound parallelism across the GIL) or ``"distributed"``
 (multi-worker dispatch over TCP sockets).  The strategy contract is
-documented in ``docs/executors.md``.  The legacy serial/parallel engine API
-from PR 2 remains available as deprecated shims
-(:class:`ParallelExecutionEngine`, the ``"serial"``/``"parallel"`` name
-aliases).
+documented in ``docs/executors.md``.
 """
 
 from .cache import CacheEntry, EagerCache, LRUCache, OperatorCache
@@ -32,7 +29,6 @@ from .executors import (
     DistributedExecutor,
     Executor,
     InlineExecutor,
-    LEGACY_ENGINE_ALIASES,
     ProcessExecutor,
     ThreadExecutor,
     WorkerServer,
@@ -42,7 +38,6 @@ from .executors import (
     parse_worker_address,
     resolve_executor_name,
 )
-from .parallel import ENGINE_NAMES, ParallelExecutionEngine
 from .tracker import MemoryTracker, RunStats
 
 __all__ = [
@@ -63,14 +58,11 @@ __all__ = [
     "DistributedExecutor",
     "WorkerServer",
     "EXECUTOR_NAMES",
-    "LEGACY_ENGINE_ALIASES",
     "create_executor",
     "resolve_executor_name",
     "parse_worker_address",
     "default_max_workers",
     "default_process_workers",
-    "ParallelExecutionEngine",
-    "ENGINE_NAMES",
     "MemoryTracker",
     "RunStats",
     "assert_equivalent_runs",

@@ -16,7 +16,7 @@ near-duplicate engines:
   - :class:`ThreadExecutor` (``"thread"``) — tasks run on a
     ``ThreadPoolExecutor``.  Best for latency-bound operators (store I/O,
     external services) which overlap even on a single core; CPU-bound pure
-    Python is GIL-limited.  Replaces ``ParallelExecutionEngine``.
+    Python is GIL-limited.
   - :class:`ProcessExecutor` (``"process"``) — COMPUTE tasks are serialized
     with :mod:`repro.storage.serialization` and run on a
     ``ProcessPoolExecutor``; the worker returns the computed value plus its
@@ -60,10 +60,6 @@ by ``start``.  Completions are delivered through an internal queue as
 identical across strategies.  The full contract — required methods,
 generation-stamped completion queues, process-safety rules, how to plug in
 a custom strategy — is documented in ``docs/executors.md``.
-
-The legacy engine names ``"serial"`` and ``"parallel"`` remain accepted
-everywhere an executor name is (:data:`LEGACY_ENGINE_ALIASES`); they are
-deprecated spellings of ``"inline"`` and ``"thread"``.
 """
 
 from __future__ import annotations
@@ -85,7 +81,6 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tu
 from ..exceptions import ExecutionError, OperatorError, ProtocolError
 from ..storage.canonical import content_digest
 from ..storage.serialization import (
-    PROTOCOL_VERSION,
     ArtifactRef,
     deserialize,
     recv_message,
@@ -102,7 +97,6 @@ __all__ = [
     "DistributedSession",
     "WorkerServer",
     "EXECUTOR_NAMES",
-    "LEGACY_ENGINE_ALIASES",
     "resolve_executor_name",
     "parse_worker_address",
     "create_executor",
@@ -113,15 +107,6 @@ __all__ = [
 
 #: Canonical executor strategy names.
 EXECUTOR_NAMES = ("inline", "thread", "process", "distributed")
-
-#: Deprecated engine names from the PR 2 serial/parallel split, still accepted
-#: by every name-taking entry point (``create_engine``, ``configure_engine``,
-#: ``run_lifecycle(engine=...)``).
-LEGACY_ENGINE_ALIASES = {"serial": "inline", "parallel": "thread"}
-
-#: Inverse of :data:`LEGACY_ENGINE_ALIASES`, for reporting a configured
-#: executor under its legacy name (``System.engine``).
-LEGACY_NAME_BY_EXECUTOR = {new: old for old, new in LEGACY_ENGINE_ALIASES.items()}
 
 #: A completed task: (task key, outcome or None, error or None).
 Completion = Tuple[str, Any, Optional[BaseException]]
@@ -138,15 +123,11 @@ def default_process_workers() -> int:
 
 
 def resolve_executor_name(name: str) -> str:
-    """Canonicalize an executor name, accepting the legacy engine aliases."""
+    """Validate an executor name against :data:`EXECUTOR_NAMES`."""
     if name in EXECUTOR_NAMES:
         return name
-    alias = LEGACY_ENGINE_ALIASES.get(name)
-    if alias is not None:
-        return alias
     raise ExecutionError(
-        f"unknown executor {name!r}; expected one of {list(EXECUTOR_NAMES)} "
-        f"(or the deprecated engine aliases {sorted(LEGACY_ENGINE_ALIASES)})"
+        f"unknown executor {name!r}; expected one of {list(EXECUTOR_NAMES)}"
     )
 
 
@@ -553,50 +534,18 @@ class ProcessExecutor(_OutOfProcessExecutor):
 _BATCH_MAX_TASK_BYTES = 8192
 
 
-def _send_message(
-    sock: socket.socket,
-    message: Any,
-    lock: Optional[threading.Lock] = None,
-    version: int = PROTOCOL_VERSION,
-) -> None:
-    """Send ``message`` as one gather-written frame (optionally locked).
-
-    ``version`` is the negotiated protocol of the *peer*: a v4 peer gets
-    the canonical zero-copy encoding (header + segments via ``sendmsg``,
-    NumPy-backed payload buffers never copied), a v3 peer a plain-pickle
-    frame — see :func:`repro.storage.serialization.send_message`.
-    """
-    send_message(sock, message, lock=lock, version=version)
-
-
-def _recv_message(
-    sock: socket.socket, on_progress: Optional[Callable[[], None]] = None
-) -> Optional[Any]:
-    """Receive one framed message; ``None`` when the peer closed cleanly.
-
-    ``on_progress`` fires per received chunk, mid-frame included — see
-    :func:`repro.storage.serialization.recv_frame`.  Callers that negotiate
-    (the worker reader, the coordinator's registration reads) use
-    :func:`repro.storage.serialization.recv_message` directly, which also
-    reports the peer's protocol version.
-    """
-    received = recv_message(sock, on_progress=on_progress)
-    return None if received is None else received[0]
-
-
 def _is_registration(message: Any) -> bool:
     """Whether a first frame is a worker registration tuple.
 
-    Registrations are ``("register", worker_id, pid[, heartbeat_interval[,
-    peer_address]])`` — the interval field announces the worker's own
-    heartbeat cadence so the coordinator can widen its silence threshold
-    for slow beaters, and the protocol-v5 address field announces the
-    worker's peer-artifact listener (``(host, port)``, or ``None`` when
-    peer fetch is disabled on the worker).
+    A registration is ``("register", worker_id, pid, heartbeat_interval,
+    peer_address)``: the interval announces the worker's own heartbeat
+    cadence so the coordinator can widen its silence threshold for slow
+    beaters, and the address announces the worker's peer-artifact listener
+    (``(host, port)``, or ``None`` when peer fetch is disabled on it).
     """
     return (
         isinstance(message, tuple)
-        and len(message) in (3, 4, 5)
+        and len(message) == 5
         and message[0] == "register"
     )
 
@@ -605,14 +554,14 @@ def _parse_registration(
     message: Tuple[Any, ...],
 ) -> Tuple[str, int, Optional[float], Optional[Tuple[str, int]]]:
     """Split a registration into ``(worker_id, pid, interval, peer_address)``."""
-    interval = message[3] if len(message) >= 4 else None
+    interval = message[3]
     if interval is not None:
         try:
             interval = float(interval)
         except (TypeError, ValueError):
             interval = None
     peer_address: Optional[Tuple[str, int]] = None
-    if len(message) == 5 and message[4] is not None:
+    if message[4] is not None:
         try:
             host, port = message[4]
             peer_address = (str(host), int(port))
@@ -837,7 +786,7 @@ class _ArtifactCache:
             self._counters[name] = self._counters.get(name, 0) + delta
 
     def stats(self) -> Dict[str, int]:
-        """Snapshot of counters + occupancy (the v5 heartbeat payload)."""
+        """Snapshot of counters + occupancy (the heartbeat payload)."""
         with self._lock:
             snapshot = dict(self._counters)
             snapshot["cache_entries"] = len(self._entries)
@@ -858,14 +807,14 @@ class _PeerArtifactServer:
     """A worker's peer-artifact listener: serves its cache tier to peers.
 
     Every :class:`WorkerServer` with peer fetch enabled binds one of these
-    on an ephemeral port and announces the address in its registration
-    (protocol v5).  Peers dial in, send ``("peer_fetch", signature)``
-    frames and receive ``("peer_artifact", signature, blob | None)``
-    replies straight from the shared :class:`_ArtifactCache` — no store,
-    no coordinator, no task state.  Connections are served one frame at a
-    time on small daemon threads and die with EOF; the listener is
-    separate from a listen-mode worker's coordinator socket, so the
-    one-coordinator-at-a-time accept discipline there is untouched.
+    on an ephemeral port and announces the address in its registration.
+    Peers dial in, send ``("peer_fetch", signature)`` frames and receive
+    ``("peer_artifact", signature, blob | None)`` replies straight from the
+    shared :class:`_ArtifactCache` — no store, no coordinator, no task
+    state.  Connections are served one frame at a time on small daemon
+    threads and die with EOF; the listener is separate from a listen-mode
+    worker's coordinator socket, so the one-coordinator-at-a-time accept
+    discipline there is untouched.
     """
 
     def __init__(self, cache: _ArtifactCache, host: str = "127.0.0.1") -> None:
@@ -904,10 +853,9 @@ class _PeerArtifactServer:
         try:
             conn.settimeout(_PEER_FETCH_TIMEOUT)
             while True:
-                received = recv_message(conn)
-                if received is None:
+                message = recv_message(conn)
+                if message is None:
                     return
-                message, version = received
                 if not (
                     isinstance(message, tuple)
                     and len(message) == 2
@@ -916,9 +864,7 @@ class _PeerArtifactServer:
                     return  # not speaking the peer-fetch protocol: hang up
                 signature = message[1]
                 send_message(
-                    conn,
-                    ("peer_artifact", signature, self._cache.blob(signature)),
-                    version=min(PROTOCOL_VERSION, version),
+                    conn, ("peer_artifact", signature, self._cache.blob(signature))
                 )
         except (OSError, ProtocolError):
             pass  # peer vanished; nothing to clean up
@@ -944,13 +890,12 @@ def _fetch_from_peer(
     with socket.create_connection(address, timeout=timeout) as conn:
         conn.settimeout(timeout)
         send_message(conn, ("peer_fetch", signature))
-        received = recv_message(conn)
-        if received is None:
+        message = recv_message(conn)
+        if message is None:
             raise ProtocolError(
                 f"peer worker at {address[0]}:{address[1]} closed the "
                 f"connection before answering the artifact fetch"
             )
-        message, _version = received
         if not (
             isinstance(message, tuple)
             and len(message) == 3
@@ -976,10 +921,8 @@ class WorkerServer:
     ``result`` or a picklable ``error``, and a **heartbeat** thread beats
     every ``heartbeat_interval`` seconds so the coordinator can distinguish
     a busy worker from a dead one.  Frames use the canonical zero-copy
-    encoding of protocol version 4 — batched dispatches arrive as one
-    ``("batch", ...)`` envelope and are acked with one batched frame — and
-    the worker answers a v3 coordinator frame-for-frame at v3 (plain
-    pickle, no batching).  One connection can carry several
+    encoding; batched dispatches arrive as one ``("batch", ...)`` envelope
+    and are acked with one batched frame.  One connection can carry several
     multiplexed run *sessions* (since protocol version 3 every task-related
     frame carries a session id): tasks queue in per-session lanes drained
     round-robin, so no session's backlog starves another's, and task inputs
@@ -988,7 +931,7 @@ class WorkerServer:
     session-spanning, byte-bounded LRU (:class:`_ArtifactCache`) keyed on
     canonical signatures, so concurrent runs with overlapping pipelines
     share one materialized copy per artifact.  A miss resolves, in order:
-    a v5 coordinator's ``locate`` answer naming peer workers that hold the
+    the coordinator's ``locate`` answer naming peer workers that hold the
     blob (fetched worker-to-worker off this worker's own
     :class:`_PeerArtifactServer` counterpart), then the classic
     coordinator-streamed FETCH lane — peer failures degrade with a single
@@ -1156,15 +1099,6 @@ class WorkerServer:
         send_lock = threading.Lock()
         stop = threading.Event()
         wake = threading.Condition()
-        # Newest protocol version the coordinator has demonstrably sent;
-        # every reply goes out at min(ours, theirs).  Starts optimistic (a
-        # v3 coordinator cannot read our v4+ registration anyway — upgrades
-        # roll coordinator-first, see the serialization module docstring)
-        # and downgrades on the first older frame received.
-        peer = {"version": PROTOCOL_VERSION}
-
-        def _peer_version() -> int:
-            return min(PROTOCOL_VERSION, peer["version"])
         # Per-session FIFO task lanes in round-robin order: the session just
         # served rotates to the back, so with several sessions queued each
         # gets one task per round instead of the first backlog winning.
@@ -1192,9 +1126,9 @@ class WorkerServer:
         # coordinator whose heartbeat_timeout was derived from a *different*
         # interval can widen its silence threshold for this worker instead
         # of declaring a slow-beating (but healthy) remote worker dead, and
-        # (protocol v5) the peer-artifact listener address, so the
-        # coordinator's location index can hand it to other workers.
-        _send_message(
+        # the peer-artifact listener address, so the coordinator's location
+        # index can hand it to other workers.
+        send_message(
             sock,
             (
                 "register",
@@ -1206,31 +1140,14 @@ class WorkerServer:
             send_lock,
         )
 
-        def _stats_beat() -> None:
-            """Best-effort stats-carrying heartbeat (v5 coordinators only)."""
-            version = _peer_version()
-            if version < 5:
-                return
-            try:
-                _send_message(
-                    sock,
-                    ("heartbeat", self.worker_id, cache.stats()),
-                    send_lock,
-                    version=version,
-                )
-            except OSError:
-                pass
+        def _send_beat() -> None:
+            """One heartbeat, carrying the artifact-cache counters."""
+            send_message(sock, ("heartbeat", self.worker_id, cache.stats()), send_lock)
 
         def _heartbeat() -> None:
             while not stop.wait(self.heartbeat_interval):
                 try:
-                    version = _peer_version()
-                    beat = (
-                        ("heartbeat", self.worker_id, cache.stats())
-                        if version >= 5
-                        else ("heartbeat", self.worker_id)
-                    )
-                    _send_message(sock, beat, send_lock, version=version)
+                    _send_beat()
                 except OSError:
                     return
 
@@ -1278,22 +1195,23 @@ class WorkerServer:
                 # Flush final plane counters while the coordinator still
                 # has this session's stats consumer attached (the periodic
                 # beat may lag the session close by up to an interval).
-                _stats_beat()
+                try:
+                    _send_beat()
+                except OSError:
+                    pass
 
         def _reader() -> None:
             # Runs concurrently with task execution so a pipelined task N+1
             # is acked the moment its frame arrives, not when task N ends.
             while True:
                 try:
-                    received = recv_message(sock)
+                    message = recv_message(sock)
                 except Exception:  # noqa: BLE001 - transport error = connection over
-                    received = None
-                if received is None:
+                    message = None
+                if message is None:
                     break
-                message, version = received
-                peer["version"] = version
                 try:
-                    # A v4 batch envelope carries several small messages in
+                    # A batch envelope carries several small messages in
                     # one frame — typically the pipelined window's task
                     # dispatches.  Unwrap it, acking every task in one
                     # (batched) frame first so the coordinator's pipeline
@@ -1314,11 +1232,10 @@ class WorkerServer:
                     break
                 if acks:
                     try:
-                        _send_message(
+                        send_message(
                             sock,
                             acks[0] if len(acks) == 1 else ("batch", acks),
                             send_lock,
-                            version=_peer_version(),
                         )
                     except OSError:
                         break
@@ -1372,11 +1289,8 @@ class WorkerServer:
                     return ()
                 locate_slots[(session, signature)] = slot
             try:
-                _send_message(
-                    sock,
-                    ("locate", self.worker_id, session, signature),
-                    send_lock,
-                    version=_peer_version(),
+                send_message(
+                    sock, ("locate", self.worker_id, session, signature), send_lock
                 )
             except OSError:
                 with fetch_lock:
@@ -1433,7 +1347,7 @@ class WorkerServer:
                     return value
                 blob: Optional[bytes] = None
                 from_peer = False
-                if self.peer_fetch and _peer_version() >= 5:
+                if self.peer_fetch:
                     peers = _locate_peers(session, signature)
                     if peers:
                         blob = _fetch_via_peers(peers, signature)
@@ -1446,11 +1360,8 @@ class WorkerServer:
                                 "connection to the coordinator closed before the fetch"
                             )
                         fetch_slots[(session, signature)] = slot
-                    _send_message(
-                        sock,
-                        ("fetch", self.worker_id, session, signature),
-                        send_lock,
-                        version=_peer_version(),
+                    send_message(
+                        sock, ("fetch", self.worker_id, session, signature), send_lock
                     )
                     if not slot.event.wait(self.fetch_timeout):
                         with fetch_lock:
@@ -1473,17 +1384,14 @@ class WorkerServer:
                 cache.put(signature, value, blob, session=session)
                 cache.pin(signature)
                 pinned.append(signature)
-                if from_peer and _peer_version() >= 5:
+                if from_peer:
                     # Tell the location index this worker now holds the
                     # blob too (the coordinator only learns about holders
                     # it streamed bytes to itself).  Best-effort: a lost
                     # announcement just means one fewer known replica.
                     try:
-                        _send_message(
-                            sock,
-                            ("cached", self.worker_id, signature),
-                            send_lock,
-                            version=_peer_version(),
+                        send_message(
+                            sock, ("cached", self.worker_id, signature), send_lock
                         )
                     except OSError:
                         pass
@@ -1510,11 +1418,10 @@ class WorkerServer:
                     # error, leaving behind a worker that refuses to die.
                     fatal = isinstance(exc, (KeyboardInterrupt, SystemExit))
                     try:
-                        _send_message(
+                        send_message(
                             sock,
                             ("error", session, key, _picklable_error(key, exc)),
                             send_lock,
-                            version=_peer_version(),
                         )
                     except OSError:
                         if not fatal:
@@ -1528,23 +1435,17 @@ class WorkerServer:
                     for pinned_signature in pinned:
                         cache.unpin(pinned_signature)
                 try:
-                    _send_message(
-                        sock,
-                        ("result", session, key, reply),
-                        send_lock,
-                        version=_peer_version(),
-                    )
+                    send_message(sock, ("result", session, key, reply), send_lock)
                 except OSError:
                     raise  # coordinator gone; nobody to report to
                 except Exception as exc:  # noqa: BLE001 - e.g. reply over frame limit
                     # The reply could not be framed (not a transport problem):
                     # report it as a task error instead of dying and dragging
                     # the run through pointless worker-death retries.
-                    _send_message(
+                    send_message(
                         sock,
                         ("error", session, key, OperatorError(key, f"result reply could not be framed: {exc}")),
                         send_lock,
-                        version=_peer_version(),
                     )
         finally:
             stop.set()
@@ -1635,8 +1536,7 @@ class _WorkerHandle:
 
     __slots__ = (
         "worker_id", "process", "pid", "sock", "send_lock", "alive",
-        "last_seen", "inflight", "address", "silence_timeout", "protocol",
-        "peer_address",
+        "last_seen", "inflight", "address", "silence_timeout", "peer_address",
     )
 
     def __init__(self, worker_id: str):
@@ -1647,11 +1547,6 @@ class _WorkerHandle:
         self.send_lock = threading.Lock()
         self.alive = True
         self.last_seen = time.monotonic()
-        #: Negotiated wire protocol for this connection: the version the
-        #: worker stamped on its registration frame.  Every frame to the
-        #: worker goes out at this version, so a v3 worker receives
-        #: plain-pickle frames and never a ``batch`` envelope.
-        self.protocol = PROTOCOL_VERSION
         #: Dispatched-but-unfinished tasks keyed by ``(session_id, key)`` —
         #: node names are only unique within a run, and concurrent sessions
         #: routinely run the same workflow.
@@ -1665,9 +1560,9 @@ class _WorkerHandle:
         #: use the executor's timeout).
         self.silence_timeout: Optional[float] = None
         #: ``(host, port)`` of the worker's peer-fetch listener as announced
-        #: in a v5 registration; ``None`` for v4-and-earlier workers or
-        #: workers started with peer fetch disabled.  The location index
-        #: only ever hands out addresses recorded here.
+        #: at registration; ``None`` for workers started with peer fetch
+        #: disabled.  The location index only ever hands out addresses
+        #: recorded here.
         self.peer_address: Optional[Tuple[str, int]] = None
 
 
@@ -1692,13 +1587,12 @@ class DistributedExecutor(_OutOfProcessExecutor):
     :mod:`repro.storage.serialization`), **pipelined** up to
     ``pipeline_depth`` tasks per worker connection: while a worker executes
     task N the coordinator already serializes and frames task N+1 onto the
-    same socket, hiding the framing round trip on short tasks.  Since
-    protocol version 4 frames carry the canonical encoding and are
-    gather-written (``sendmsg``) so NumPy-backed payload buffers are never
-    copied into a contiguous frame, and small pipelined dispatches headed
-    for the same worker coalesce into one ``("batch", ...)`` frame (their
-    acks come back batched the same way); a worker that registered at v3
-    gets plain-pickle frames and no batching.  Workers ack
+    same socket, hiding the framing round trip on short tasks.  Frames
+    carry the canonical encoding and are gather-written (``sendmsg``) so
+    NumPy-backed payload buffers are never copied into a contiguous frame,
+    and small pipelined dispatches headed for the same worker coalesce into
+    one ``("batch", ...)`` frame (their acks come back batched the same
+    way).  Workers ack
     each task on receipt (a dedicated reader thread acks even while a task
     is executing), heartbeat while idle or busy, and return the serialized
     ``(value, measured_seconds)`` reply, deserialized here before delivery
@@ -1710,14 +1604,13 @@ class DistributedExecutor(_OutOfProcessExecutor):
     coordinator's filesystem — the engine ships store-resident COMPUTE
     inputs as :class:`~repro.storage.serialization.ArtifactRef`
     placeholders, and workers resolve them content-addressed by
-    signature.  Since protocol version 5 a v5 worker first asks
-    ``locate`` and the coordinator answers with the addresses of peer
-    workers already holding the blob (recorded when it streamed the
-    artifact to them, or when they announced a ``cached`` peer-fetch
-    insert), so the bytes move worker-to-worker instead of through the
-    coordinator; when no peer holds the blob, the peer dial fails, or
-    either side speaks v4, the worker falls back to the classic ``fetch``
-    request the coordinator answers from the store bound via
+    signature.  A worker first asks ``locate`` and the coordinator
+    answers with the addresses of peer workers already holding the blob
+    (recorded when it streamed the artifact to them, or when they
+    announced a ``cached`` peer-fetch insert), so the bytes move
+    worker-to-worker instead of through the coordinator; when no peer
+    holds the blob or the peer dial fails, the worker falls back to the
+    classic ``fetch`` request the coordinator answers from the store bound via
     :meth:`bind_store` (served on the I/O pool, so fetches never stall
     dispatch).  :meth:`artifact_plane_stats` aggregates both sides'
     counters.
@@ -1807,8 +1700,8 @@ class DistributedExecutor(_OutOfProcessExecutor):
         Whether the coordinator answers ``locate`` requests with peer
         worker addresses (default ``True``).  ``False`` makes every
         ``located`` answer empty, so all artifact bytes route through the
-        coordinator exactly as in protocol v4 — spawned workers still
-        inherit the flag and skip starting their peer listener entirely.
+        coordinator — spawned workers still inherit the flag and skip
+        starting their peer listener entirely.
     worker_cache_bytes:
         Byte budget of each locally-spawned worker's content-addressed
         artifact cache tier (default: the worker-side
@@ -1947,7 +1840,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
             "locates_served": 0,
             "locates_with_peers": 0,
         }
-        #: Latest cache stats heartbeat per worker id (v5 workers only).
+        #: Latest cache stats heartbeat per worker id.
         #: Deliberately never pruned on worker death or shutdown so the
         #: serve daemon can report peer/cache reuse after the fleet stops.
         self._worker_plane: Dict[str, Dict[str, int]] = {}
@@ -2105,12 +1998,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
         for handle in handles:
             if handle.sock is not None and handle.address is None:
                 try:
-                    _send_message(
-                        handle.sock,
-                        ("shutdown",),
-                        handle.send_lock,
-                        version=handle.protocol,
-                    )
+                    send_message(handle.sock, ("shutdown",), handle.send_lock)
                 except OSError:
                     pass
         for handle in handles:
@@ -2176,11 +2064,8 @@ class DistributedExecutor(_OutOfProcessExecutor):
         # outlives the sessions multiplexed onto it.
         for handle in handles:
             try:
-                _send_message(
-                    handle.sock,
-                    ("close_session", state.session_id),
-                    handle.send_lock,
-                    version=handle.protocol,
+                send_message(
+                    handle.sock, ("close_session", state.session_id), handle.send_lock
                 )
             except OSError:
                 pass  # worker vanished; its connection state dies with it
@@ -2382,12 +2267,11 @@ class DistributedExecutor(_OutOfProcessExecutor):
             # silent (e.g. a worker busy serving another coordinator) must
             # not wedge start() past its own deadline handling.
             sock.settimeout(self.connect_timeout)
-            received = recv_message(sock)
+            message = recv_message(sock)
             sock.settimeout(None)
         except Exception:
             sock.close()
             raise
-        message, peer_version = received if received is not None else (None, PROTOCOL_VERSION)
         if not _is_registration(message):
             sock.close()
             raise ExecutionError(
@@ -2400,8 +2284,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
         handle.sock = sock
         handle.pid = pid
         handle.address = address
-        handle.protocol = peer_version
-        if peer_version >= 5 and peer_address is not None:
+        if peer_address is not None:
             peer_host, peer_port = peer_address
             # A remote worker that bound its peer listener to loopback is
             # only dialable from its own host; substitute the address the
@@ -2446,14 +2329,11 @@ class DistributedExecutor(_OutOfProcessExecutor):
             conn.settimeout(5.0)
             try:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                received = recv_message(conn)
+                message = recv_message(conn)
                 conn.settimeout(None)
             except Exception:  # noqa: BLE001 - reject peers that talk garbage
                 conn.close()
                 continue
-            message, peer_version = (
-                received if received is not None else (None, PROTOCOL_VERSION)
-            )
             if not _is_registration(message):
                 conn.close()
                 continue
@@ -2464,9 +2344,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
                 if known:
                     handle.sock = conn
                     handle.pid = pid
-                    handle.protocol = peer_version
-                    if peer_version >= 5 and peer_address is not None:
-                        handle.peer_address = (peer_address[0], peer_address[1])
+                    handle.peer_address = peer_address
                     handle.silence_timeout = self._silence_timeout_for(announced_interval)
                     handle.last_seen = time.monotonic()
                     self._cond.notify_all()
@@ -2493,10 +2371,10 @@ class DistributedExecutor(_OutOfProcessExecutor):
         whichever run submitted first.
 
         Small payloads (``<= _BATCH_MAX_TASK_BYTES``) headed for the same
-        v4 worker are coalesced into one ``("batch", (task, ...))`` frame,
-        up to the worker's remaining pipeline capacity: a depth-2 window of
-        short tasks costs one frame instead of two.  Large payloads, and
-        every frame to a v3 worker, ship individually.
+        worker are coalesced into one ``("batch", (task, ...))`` frame, up
+        to the worker's remaining pipeline capacity: a depth-2 window of
+        short tasks costs one frame instead of two.  Large payloads ship
+        individually.
         """
         while True:
             with self._cond:
@@ -2513,7 +2391,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
                 if self._stopping:
                     return
                 batch = [task]
-                if worker.protocol >= 4 and len(task.payload) <= _BATCH_MAX_TASK_BYTES:
+                if len(task.payload) <= _BATCH_MAX_TASK_BYTES:
                     while len(worker.inflight) + len(batch) < self.pipeline_depth:
                         extra = self._next_small_task_locked()
                         if extra is None:
@@ -2528,11 +2406,10 @@ class DistributedExecutor(_OutOfProcessExecutor):
                 for item in batch
             )
             try:
-                _send_message(
+                send_message(
                     worker.sock,
                     frames[0] if len(frames) == 1 else ("batch", frames),
                     worker.send_lock,
-                    version=worker.protocol,
                 )
             except OSError:
                 self._worker_failed(worker)
@@ -2622,15 +2499,14 @@ class DistributedExecutor(_OutOfProcessExecutor):
 
         while True:
             try:
-                received = recv_message(worker.sock, on_progress=_alive)
+                message = recv_message(worker.sock, on_progress=_alive)
             except Exception:  # noqa: BLE001 - treat any transport error as death
-                received = None
-            if received is None:
+                message = None
+            if message is None:
                 break
-            message, _version = received
             worker.last_seen = time.monotonic()
             try:
-                # A v4 worker batches its acks for a batched dispatch into one
+                # A worker batches its acks for a batched dispatch into one
                 # ("batch", ...) frame; unwrap and handle each inner message.
                 inner = message[1] if message[0] == "batch" else (message,)
                 for item in inner:
@@ -2663,12 +2539,11 @@ class DistributedExecutor(_OutOfProcessExecutor):
             # record it so later locates can spread the serving load.
             self._record_site(worker.worker_id, message[2])
         elif kind == "heartbeat":
-            # v5 heartbeats piggyback the worker's artifact-cache counters
-            # (v4-and-earlier beats are bare 2-tuples and only refresh
-            # last_seen, which the receive loop already did).
-            if len(message) >= 3 and isinstance(message[2], dict):
-                with self._plane_lock:
-                    self._worker_plane[worker.worker_id] = dict(message[2])
+            # Heartbeats piggyback the worker's artifact-cache counters
+            # (the receive loop already refreshed last_seen).
+            _, _, stats = message
+            with self._plane_lock:
+                self._worker_plane[worker.worker_id] = dict(stats)
 
     def _serve_fetch(
         self, worker: _WorkerHandle, session_id: str, signature: str
@@ -2715,37 +2590,41 @@ class DistributedExecutor(_OutOfProcessExecutor):
                     blob = serialize(value)
             except Exception:  # noqa: BLE001 - report as missing, task errors typed
                 blob = None
+        # Count the serve before replying: the reply lets the worker finish
+        # its task, so whoever observes that completion must already see
+        # the serve in artifact_plane_stats().  A failed send takes it back.
+        self._count_fetch_served(blob)
         try:
-            _send_message(
-                worker.sock,
-                ("artifact", session_id, signature, blob),
-                worker.send_lock,
-                version=worker.protocol,
+            send_message(
+                worker.sock, ("artifact", session_id, signature, blob), worker.send_lock
             )
         except OSError:
+            self._count_fetch_served(blob, -1)
             return  # worker death is handled by its receive loop / monitor
         except Exception:  # noqa: BLE001 - e.g. artifact above the frame limit
+            self._count_fetch_served(blob, -1)
             try:
-                _send_message(
-                    worker.sock,
-                    ("artifact", session_id, signature, None),
-                    worker.send_lock,
-                    version=worker.protocol,
+                send_message(
+                    worker.sock, ("artifact", session_id, signature, None), worker.send_lock
                 )
             except OSError:
                 pass
             return
         if blob is not None:
-            with self._plane_lock:
-                self._plane["fetches_served"] += 1
-                self._plane["fetch_bytes_served"] += len(blob)
             # The worker's artifact cache now holds this blob: record the
-            # site so later locates can route peers at it (a v4 worker has
-            # no peer listener, so only v5 sites are dialable — filtered
-            # at answer time by the peer_address check).
+            # site so later locates can route peers at it (a worker without
+            # a peer listener is filtered at answer time by the
+            # peer_address check).
             self._record_site(worker.worker_id, signature)
 
     # ------------------------------------------------------------------ artifact plane
+    def _count_fetch_served(self, blob: Optional[bytes], sign: int = 1) -> None:
+        """Count one coordinator-streamed serve (``sign=-1`` takes it back)."""
+        if blob is not None:
+            with self._plane_lock:
+                self._plane["fetches_served"] += sign
+                self._plane["fetch_bytes_served"] += sign * len(blob)
+
     def _record_site(self, worker_id: str, signature: str) -> None:
         """Note that a worker holds the blob for ``signature``."""
         with self._plane_lock:
@@ -2798,11 +2677,8 @@ class DistributedExecutor(_OutOfProcessExecutor):
             if peers:
                 self._plane["locates_with_peers"] += 1
         try:
-            _send_message(
-                worker.sock,
-                ("located", session_id, signature, tuple(peers)),
-                worker.send_lock,
-                version=worker.protocol,
+            send_message(
+                worker.sock, ("located", session_id, signature, tuple(peers)), worker.send_lock
             )
         except OSError:
             pass  # worker death is handled by its receive loop / monitor
@@ -2812,7 +2688,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
 
         Returns the coordinator's own counters (``fetches_served``,
         ``fetch_bytes_served``, ``locates_served``, ``locates_with_peers``)
-        merged with a sum over every v5 worker's last heartbeat stats
+        merged with a sum over every worker's last heartbeat stats
         (``peer_fetches``, ``peer_serves``, ``cache_hits``,
         ``cross_session_hits``, ``dedup_hits``, ...), plus the per-worker
         breakdown under ``"workers"``.  Worker stats survive worker death
@@ -3059,8 +2935,8 @@ _EXECUTORS: Dict[str, Type[Executor]] = {
     DistributedExecutor.name: DistributedExecutor,
 }
 
-#: What ``create_executor`` accepts: a name (canonical or legacy alias), an
-#: :class:`Executor` subclass, or a ready instance.
+#: What ``create_executor`` accepts: a name, an :class:`Executor` subclass,
+#: or a ready instance.
 ExecutorSpec = Union[str, Type[Executor], Executor]
 
 

@@ -10,12 +10,14 @@ serves coordinator *connections* one at a time and survives across them, so
 one long-lived process amortizes interpreter startup over many runs.
 
 Within a single connection the protocol (version 5: canonical zero-copy
-frame payloads, batch envelopes and the worker-to-worker artifact plane;
-older coordinators are answered at their own version — see
-``repro/storage/serialization.py``) is session-multiplexed: every task,
+frame payloads, batch envelopes and the worker-to-worker artifact plane —
+see ``repro/storage/serialization.py``) is session-multiplexed: every task,
 fetch and result frame carries the coordinator-side session id, so one
 coordinator — e.g. the ``repro serve`` daemon — can interleave tasks from
-several concurrent workflow runs over the same worker.  Task inputs
+several concurrent workflow runs over the same worker.  Coordinator and
+worker must run the same library revision: a connection whose frames carry
+another protocol version ends at its first frame, and the worker goes back
+to accepting the next coordinator.  Task inputs
 resolve through the worker's **content-addressed artifact tier** (see
 ``docs/artifacts.md``): a session-spanning LRU keyed on canonical
 signatures that survives across coordinator connections, backed by a
@@ -106,7 +108,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="opt out of the worker-to-worker artifact plane: no "
         "peer-artifact listener is bound and every artifact fetch routes "
-        "through the coordinator (protocol v4 behavior)",
+        "through the coordinator",
     )
     parser.add_argument(
         "--cache-bytes",

@@ -6,9 +6,9 @@ accepts workflow-run submissions over the same framed wire protocol the
 executor transport uses (:mod:`repro.storage.serialization`).  Each accepted
 run executes a full :func:`~repro.experiments.runner.run_lifecycle` on its
 own :class:`~repro.execution.executors.DistributedSession`, so several runs
-share the warm worker processes concurrently — the session multiplexing of
-protocol version 3 — instead of each run paying worker startup or queuing
-behind a per-run coordinator.
+share the warm worker processes concurrently — the fleet's session
+multiplexing — instead of each run paying worker startup or queuing behind
+a per-run coordinator.
 
 Admission scheduling is pluggable (:mod:`repro.service.scheduler`): the
 default ``"fifo"`` policy serves submissions in arrival order, while
@@ -27,6 +27,11 @@ Service wire protocol (client side in :mod:`repro.service.client`)::
              ("progress", run_id, info_dict)      # one per iteration
              ("done", run_id, payload)            # terminal, or:
              ("failed", run_id, message)          # terminal
+
+Client and daemon must run the same library revision: a submit frame
+stamped with another protocol version (or not canonically encoded) is
+answered with a ``("failed", "", message)`` frame naming the mismatch, and
+the daemon keeps serving other clients.
 
 ``admission_dict`` reports the run's effective ``tenant`` and
 ``priority``, the daemon's ``scheduler`` name, the deterministic
@@ -55,12 +60,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from ..exceptions import ExecutionError
 from ..execution.clock import SimulatedCostModel
 from ..execution.equivalence import canonical_lifecycle
-from ..execution.executors import (
-    DistributedExecutor,
-    _send_message,
-    parse_worker_address,
-)
-from ..storage.serialization import PROTOCOL_VERSION, recv_message
+from ..execution.executors import DistributedExecutor, parse_worker_address
+from ..storage.serialization import recv_message, send_message
 from ..experiments.runner import LifecycleResult, run_lifecycle
 from ..systems.helix import HelixSystem
 from ..workloads.base import get_workload
@@ -241,16 +242,10 @@ class _RunRecord:
 
     __slots__ = (
         "run_id", "spec", "sock", "send_lock", "client_gone", "tenant",
-        "priority", "state", "protocol",
+        "priority", "state",
     )
 
-    def __init__(
-        self,
-        run_id: str,
-        spec: Dict[str, Any],
-        sock: socket.socket,
-        protocol: int = PROTOCOL_VERSION,
-    ):
+    def __init__(self, run_id: str, spec: Dict[str, Any], sock: socket.socket):
         self.run_id = run_id
         self.spec = spec
         self.sock = sock
@@ -259,18 +254,13 @@ class _RunRecord:
         self.tenant = spec.get("tenant", DEFAULT_TENANT)
         self.priority = int(spec.get("priority", PRIORITY_RANGE[0]))
         self.state = "queued"
-        #: Protocol version the client stamped on its submit frame; every
-        #: progress/terminal frame back to it is sent at this version (a
-        #: v3 client gets plain-pickle frames — same negotiated fallback
-        #: as the worker wire).
-        self.protocol = protocol
 
     def send(self, message: Tuple[Any, ...]) -> None:
         """Best-effort frame to the submitter; a vanished client is not fatal."""
         if self.client_gone:
             return
         try:
-            _send_message(self.sock, message, self.send_lock, version=self.protocol)
+            send_message(self.sock, message, self.send_lock)
         except Exception:  # noqa: BLE001 - client gone; the run itself continues
             self.client_gone = True
 
@@ -598,37 +588,26 @@ class ServeDaemon:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn.settimeout(10.0)
         try:
-            received = recv_message(conn)
+            message = recv_message(conn)
             conn.settimeout(None)
+            if not (
+                isinstance(message, tuple) and len(message) == 2 and message[0] == "submit"
+            ):
+                raise ExecutionError("expected a (submit, spec) frame")
+            spec = validate_spec(message[1])
+        except ExecutionError as exc:
+            # A malformed submission, an invalid spec, or a frame from
+            # another protocol revision (ProtocolError): refuse it typed.
+            try:
+                send_message(conn, ("failed", "", str(exc)))
+            except Exception:  # noqa: BLE001 - best-effort refusal
+                pass
+            conn.close()
+            return
         except Exception:  # noqa: BLE001 - reject peers that talk garbage
             conn.close()
             return
-        message, peer_version = (
-            received if received is not None else (None, PROTOCOL_VERSION)
-        )
-        if not (isinstance(message, tuple) and len(message) == 2 and message[0] == "submit"):
-            try:
-                _send_message(
-                    conn,
-                    ("failed", "", "expected a (submit, spec) frame"),
-                    version=peer_version,
-                )
-            except Exception:  # noqa: BLE001 - best-effort refusal
-                pass
-            conn.close()
-            return
-        try:
-            spec = validate_spec(message[1])
-        except ExecutionError as exc:
-            try:
-                _send_message(conn, ("failed", "", str(exc)), version=peer_version)
-            except Exception:  # noqa: BLE001 - best-effort refusal
-                pass
-            conn.close()
-            return
-        record = _RunRecord(
-            f"run-{next(self._run_seq)}", spec, conn, protocol=peer_version
-        )
+        record = _RunRecord(f"run-{next(self._run_seq)}", spec, conn)
         # Check-and-queue under the admission lock: once stop() has drained
         # the scheduler (holding this lock), no record can slip in behind
         # the drain and leave its client blocked on a terminal frame that

@@ -10,96 +10,63 @@ executor-equivalence harness compare storage statistics with exact equality
 across the inline/thread/process/distributed strategies.  Values outside
 the canonical type set fall back to an embedded pickle (protocol 5), so
 :func:`serialize`/:func:`deserialize` accept everything pickle does;
-:func:`deserialize` additionally accepts legacy plain-pickle payloads
-(pre-canonical stores and protocol-v3 peers).  The module also provides
-:func:`estimate_size_bytes`, a cheap size estimate used when a value is
-cached in memory but has not (yet) been serialized.
+:func:`deserialize` additionally accepts legacy plain-pickle payloads, so a
+persisted store written before the canonical codec still reopens.  The
+module also provides :func:`estimate_size_bytes`, a cheap size estimate
+used when a value is cached in memory but has not (yet) been serialized.
 
 Wire format
 -----------
-The distributed executor ships these same serialized payloads between the
-coordinator and its workers over TCP, delimited by **length-prefixed
-frames**.  A frame is a fixed 8-byte header followed by the payload::
+The distributed executor and the ``repro serve`` daemon ship these same
+serialized payloads over TCP, delimited by **length-prefixed frames**.  A
+frame is a fixed 8-byte header followed by the payload::
 
     +-------+---------+------------------+----------------+
     | magic | version | payload length   | payload bytes  |
     | 2B    | 2B (BE) | 4B (BE, unsigned)| length bytes   |
     +-------+---------+------------------+----------------+
 
-``magic`` is :data:`FRAME_MAGIC` (``b"HX"``) and ``version`` is the
-protocol revision the *sender* speaks, between
-:data:`MIN_PROTOCOL_VERSION` and :data:`PROTOCOL_VERSION` for a frame this
-process will accept.  Versions outside that window fail fast with a
-:class:`~repro.exceptions.ProtocolError` on the *first* frame instead of
-misinterpreting the peer's payloads.  :func:`recv_frame` distinguishes a
-clean end-of-stream at a frame boundary (returns ``None`` — the peer
-closed) from a connection lost mid-frame (raises :class:`ProtocolError`).
+``magic`` is :data:`FRAME_MAGIC` (``b"HX"``) and ``version`` is
+:data:`PROTOCOL_VERSION`.  Every wire — coordinator/worker, worker/worker
+peer fetch, client/daemon — speaks exactly this one revision: a frame
+stamped with any other version fails with a
+:class:`~repro.exceptions.ProtocolError` on the *first* frame, telling the
+operator to run the same library revision on both sides.  :func:`recv_frame`
+distinguishes a clean end-of-stream at a frame boundary (returns ``None`` —
+the peer closed) from a connection lost mid-frame (raises
+:class:`ProtocolError`).
 
 Message transport (:func:`send_message` / :func:`recv_message`) layers
-value encoding over frames with **negotiated fallback**: a version-4+
-frame carries the canonical encoding and is sent as a gather-write
-(``socket.sendmsg``) of the header plus :func:`~repro.storage.canonical.
-encode_segments` — large NumPy buffers go from the array's memory to the
-socket without ever being copied into one contiguous payload — while a
-version-3 frame carries a plain pickle for legacy peers.  Each side tracks
-the newest version its peer has demonstrably sent and answers at
-``min(PROTOCOL_VERSION, peer_version)``, so a v5 coordinator talks v3 to a
-v3 worker fleet and never sends artifact-plane tuples to a v4 one.  (Note
-the transport downgrade does not extend to
-*artifact payloads* generated by a v4 store — mixed-revision fleets should
-still run one library revision end to end.)
+value encoding over frames: the payload is the canonical encoding, sent as
+a gather-write (``socket.sendmsg``) of the header plus
+:func:`~repro.storage.canonical.encode_segments`, so large NumPy buffers go
+from the array's memory to the socket without ever being copied into one
+contiguous payload.  A frame payload that is not canonically encoded is a
+:class:`ProtocolError` as well.
 
 Protocol version history
 ------------------------
-* **1** — registration/heartbeat/task/ack/result/error/shutdown message
-  tuples (the PR 4 local-TCP transport).
-* **2** — adds the artifact lane for workers without access to the
-  coordinator's store: a COMPUTE payload may carry :class:`ArtifactRef`
-  placeholders instead of inline input values, and workers resolve them with
-  ``("fetch", worker_id, signature)`` requests answered by
-  ``("artifact", signature, payload_bytes | None)`` frames served from the
-  coordinator's materialization store.
-* **3** — session multiplexing: every task-related message is tagged with
-  the id of the coordinator run session it belongs to, so one worker
-  connection can interleave tasks from several concurrent runs.  The
-  message tuples become ``("task", session, key, payload)``,
-  ``("ack", worker_id, session, key)``, ``("result", session, key,
-  reply)``, ``("error", session, key, exc)``, ``("fetch", worker_id,
-  session, signature)`` and ``("artifact", session, signature,
-  payload_bytes | None)``; a drained session is retired with
-  ``("close_session", session)``, on which the worker releases that
-  session's task lane, fetched-value cache and pending fetch slots (a
-  long-lived connection outlives many sessions, so per-session state must
-  die with its session).  Registration, heartbeat and shutdown are
-  unchanged (they are connection-level, not session-level).
-* **4** — canonical zero-copy payloads and frame batching: frame payloads
-  are the canonical encoding (``b"HC"`` prefix) instead of plain pickle,
-  sent as scattered segments so out-of-band buffers are never copied, and
-  a new ``("batch", (message, ...))`` envelope coalesces several small
-  messages — pipelined task dispatches and their acks — into one frame on
-  the coordinator/worker hot path.  v3 peers are still accepted
-  (``MIN_PROTOCOL_VERSION``): their frames decode as pickle, replies to
-  them are framed as v3 pickle, and batch envelopes are never sent to
-  them.
-* **5** — the content-addressed artifact plane: artifacts are addressed by
-  their canonical signature and may be served worker-to-worker instead of
-  streaming every byte through the coordinator.  A worker's registration
-  grows a fifth field, ``("register", worker_id, pid, heartbeat_interval,
-  (peer_host, peer_port) | None)``, announcing the address of its
-  peer-artifact listener.  Before falling back to the coordinator-streamed
-  FETCH lane, a v5 worker asks ``("locate", worker_id, session,
-  signature)`` and the coordinator answers ``("located", session,
-  signature, ((host, port), ...))`` with the peer workers known to hold
-  the blob; the requester dials a listed peer and performs a direct
-  ``("peer_fetch", signature)`` → ``("peer_artifact", signature,
-  payload_bytes | None)`` exchange on the peer's artifact listener.  A
-  worker that caches a blob obtained from a peer announces it with
-  ``("cached", worker_id, signature)`` so the coordinator's location index
-  learns new holders, and v5 heartbeats may carry a stats snapshot as a
-  third field, ``("heartbeat", worker_id, {counter: value, ...})``.
-  Payload encoding is unchanged from v4 (canonical segments); v4 and v3
-  peers never send the new tuples and are answered exactly as before, so
-  mixed fleets interoperate per connection at ``min(own, peer)``.
+* **1** — registration/heartbeat/task/ack/result/error/shutdown tuples.
+* **2** — the artifact lane: COMPUTE payloads carry :class:`ArtifactRef`
+  placeholders, resolved with ``fetch`` requests answered by ``artifact``
+  frames from the coordinator's store.
+* **3** — session multiplexing: every task-related tuple carries a run
+  session id (``("task", session, key, payload)``, ``("ack", worker_id,
+  session, key)``, ``("result", session, key, reply)``, ``("error",
+  session, key, exc)``, ``("fetch", worker_id, session, signature)``,
+  ``("artifact", session, signature, blob | None)``), and
+  ``("close_session", session)`` releases a drained session's worker state.
+* **4** — canonical zero-copy payloads and the ``("batch", (message,
+  ...))`` envelope that coalesces small pipelined dispatches and their acks.
+* **5** — the content-addressed artifact plane.  Registration is
+  ``("register", worker_id, pid, heartbeat_interval, (peer_host,
+  peer_port) | None)`` and heartbeats are ``("heartbeat", worker_id,
+  stats)``.  A worker asks ``("locate", worker_id, session, signature)``,
+  the coordinator answers ``("located", session, signature, ((host, port),
+  ...))``, and the worker fetches ``("peer_fetch", signature)`` →
+  ``("peer_artifact", signature, blob | None)`` from a peer's artifact
+  listener before falling back to ``fetch``; ``("cached", worker_id,
+  signature)`` announces a blob obtained from a peer.
 """
 
 from __future__ import annotations
@@ -107,7 +74,7 @@ from __future__ import annotations
 import pickle
 import socket
 import struct
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -125,7 +92,6 @@ __all__ = [
     "ArtifactRef",
     "FRAME_MAGIC",
     "PROTOCOL_VERSION",
-    "MIN_PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "encode_frame",
     "decode_frame",
@@ -136,29 +102,23 @@ __all__ = [
     "recv_message",
 ]
 
-#: Pickle protocol for legacy (v3) frames and the canonical fallback path.
-_PROTOCOL = 4
-
 #: Two-byte frame marker ("HeliX") guarding against non-frame traffic.
 FRAME_MAGIC = b"HX"
 
-#: Version of the coordinator/worker wire protocol this process speaks.
+#: The one wire protocol revision this library speaks, on every wire.
 #: Bump on any change to the frame layout *or* to the message tuples
-#: exchanged inside frames.  (5 = content-addressed artifact plane:
-#: locate/located lanes, peer-fetch transfers, cached announcements; see
-#: the version history in the module docstring.)
+#: exchanged inside frames (see the version history in the module
+#: docstring).
 PROTOCOL_VERSION = 5
-
-#: Oldest peer protocol version still accepted (negotiated fallback):
-#: version-3 frames carry plain-pickle payloads and no batch envelopes;
-#: version-4 peers additionally never see the v5 artifact-plane tuples.
-MIN_PROTOCOL_VERSION = 3
 
 #: Upper bound on a single frame's payload (1 GiB).  A length above this is
 #: treated as a corrupt header rather than an allocation request.
 MAX_FRAME_BYTES = 1 << 30
 
 _FRAME_HEADER = struct.Struct(">2sHI")
+
+#: Remedy named by every cross-revision wire error.
+_SAME_REVISION = "run the same library revision on both sides of the connection"
 
 #: Gather-write batching cap: ``sendmsg`` is subject to the platform's
 #: ``IOV_MAX``; batching segments well below it keeps one syscall per
@@ -190,8 +150,8 @@ def deserialize(payload: Union[bytes, bytearray, memoryview]) -> Any:
     """Inverse of :func:`serialize`.
 
     Accepts both the canonical encoding (``b"HC"`` prefix) and legacy
-    plain-pickle payloads — artifacts written by pre-canonical revisions
-    and frames from protocol-v3 peers decode transparently.
+    plain-pickle payloads, so artifacts persisted by pre-canonical
+    revisions still decode.
     """
     if _is_canonical(payload):
         return _canonical_decode(payload)
@@ -270,16 +230,8 @@ class ArtifactRef:
 # ---------------------------------------------------------------------------
 # Framed wire format (distributed executor transport)
 # ---------------------------------------------------------------------------
-def encode_frame(payload: bytes, version: int = PROTOCOL_VERSION) -> bytes:
-    """Wrap ``payload`` in a length-prefixed frame.
-
-    Parameters
-    ----------
-    payload:
-        Raw bytes to frame (typically a :func:`serialize` result).
-    version:
-        Protocol version stamped into the header.  Only tests should pass a
-        non-default value (to exercise the mismatch path).
+def encode_frame(payload: bytes) -> bytes:
+    """Wrap ``payload`` (typically a :func:`serialize` result) in a frame.
 
     Raises
     ------
@@ -291,7 +243,7 @@ def encode_frame(payload: bytes, version: int = PROTOCOL_VERSION) -> bytes:
             f"frame payload of {len(payload)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte frame limit"
         )
-    return _FRAME_HEADER.pack(FRAME_MAGIC, version, len(payload)) + payload
+    return _FRAME_HEADER.pack(FRAME_MAGIC, PROTOCOL_VERSION, len(payload)) + payload
 
 
 def decode_frame(frame: bytes) -> bytes:
@@ -305,7 +257,7 @@ def decode_frame(frame: bytes) -> bytes:
             f"truncated frame: {len(frame)} bytes is shorter than the "
             f"{_FRAME_HEADER.size}-byte header"
         )
-    _version, length = _check_header(frame[: _FRAME_HEADER.size])
+    length = _check_header(frame[: _FRAME_HEADER.size])
     payload = frame[_FRAME_HEADER.size :]
     if len(payload) != length:
         raise ProtocolError(
@@ -314,11 +266,9 @@ def decode_frame(frame: bytes) -> bytes:
     return payload
 
 
-def send_frame(
-    sock: socket.socket, payload: bytes, version: int = PROTOCOL_VERSION
-) -> None:
+def send_frame(sock: socket.socket, payload: bytes) -> None:
     """Send one frame over a connected socket (blocking ``sendall``)."""
-    sock.sendall(encode_frame(payload, version=version))
+    sock.sendall(encode_frame(payload))
 
 
 def recv_frame(
@@ -352,80 +302,58 @@ def recv_frame(
     header = _recv_exact(sock, _FRAME_HEADER.size, eof_ok=True, on_progress=on_progress)
     if header is None:
         return None
-    _version, length = _check_header(header)
+    length = _check_header(header)
     if length == 0:
         return b""
     return _recv_exact(sock, length, eof_ok=False, on_progress=on_progress)
 
 
-def _check_header(header: bytes) -> Tuple[int, int]:
-    """Validate a frame header; return ``(peer_version, payload_length)``.
-
-    Peer versions inside ``[MIN_PROTOCOL_VERSION, PROTOCOL_VERSION]`` are
-    accepted (negotiated fallback); anything else is a hard mismatch.
-    """
+def _check_header(header: bytes) -> int:
+    """Validate a frame header; return its payload length."""
     magic, version, length = _FRAME_HEADER.unpack(header)
     if magic != FRAME_MAGIC:
         raise ProtocolError(
             f"bad frame magic {magic!r} (expected {FRAME_MAGIC!r}); the peer "
             f"is not speaking the executor wire protocol"
         )
-    if not MIN_PROTOCOL_VERSION <= version <= PROTOCOL_VERSION:
+    if version != PROTOCOL_VERSION:
         raise ProtocolError(
             f"protocol version mismatch: peer speaks version {version}, "
-            f"this process accepts versions {MIN_PROTOCOL_VERSION}"
-            f"-{PROTOCOL_VERSION}; upgrade the older side (a newer "
-            f"coordinator downgrades to an older worker automatically, "
-            f"not the reverse)"
+            f"this process speaks version {PROTOCOL_VERSION}; {_SAME_REVISION}"
         )
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame declares a {length}-byte payload, above the "
             f"{MAX_FRAME_BYTES}-byte limit (corrupt header?)"
         )
-    return version, length
+    return length
 
 
 # ---------------------------------------------------------------------------
-# Message transport: framed values with zero-copy send + version negotiation
+# Message transport: framed canonical values with zero-copy send
 # ---------------------------------------------------------------------------
-def message_segments(
-    message: Any, version: int = PROTOCOL_VERSION
-) -> List[Union[bytes, memoryview]]:
+def message_segments(message: Any) -> List[Union[bytes, memoryview]]:
     """Frame ``message`` as ``[header, *payload_segments]`` for gather-write.
 
-    ``version`` selects the payload encoding: 4+ = canonical segments
-    (large buffers stay as memoryviews into the message's own values —
-    zero-copy), 3 = one plain-pickle payload for a legacy peer.  Joining
-    the segments yields exactly the bytes :func:`send_frame` would send for
-    ``serialize(message)`` (v4+) or the pickle (v3).
+    Large buffers stay as memoryviews into the message's own values
+    (zero-copy).  Joining the segments yields exactly the bytes
+    :func:`send_frame` would send for ``serialize(message)``.
 
     Raises :class:`ProtocolError` when the payload exceeds
-    :data:`MAX_FRAME_BYTES` or ``version`` is outside the supported window.
+    :data:`MAX_FRAME_BYTES`.
     """
-    if not MIN_PROTOCOL_VERSION <= version <= PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"cannot send a version-{version} frame; this process speaks "
-            f"versions {MIN_PROTOCOL_VERSION}-{PROTOCOL_VERSION}"
-        )
-    if version >= 4:
-        segments = serialize_segments(message)
-    else:
-        segments = [pickle.dumps(message, protocol=_PROTOCOL)]
+    segments = serialize_segments(message)
     total = sum(len(segment) for segment in segments)
     if total > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame payload of {total} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte frame limit"
         )
-    return [_FRAME_HEADER.pack(FRAME_MAGIC, version, total), *segments]
+    return [_FRAME_HEADER.pack(FRAME_MAGIC, PROTOCOL_VERSION, total), *segments]
 
 
 def send_message(
-    sock: socket.socket,
-    message: Any,
-    lock: Optional[Any] = None,
-    version: int = PROTOCOL_VERSION,
+    sock: socket.socket, message: Any, lock: Optional[Any] = None
 ) -> None:
     """Send one framed message, gather-writing its segments (zero-copy).
 
@@ -435,7 +363,7 @@ def send_message(
     never copied on the way out.  ``lock`` (optional) serializes whole
     frames against other senders on the same socket.
     """
-    segments = message_segments(message, version=version)
+    segments = message_segments(message)
     if lock is None:
         _send_segments(sock, segments)
     else:
@@ -445,23 +373,22 @@ def send_message(
 
 def recv_message(
     sock: socket.socket, on_progress: Optional[Callable[[], None]] = None
-) -> Optional[Tuple[Any, int]]:
-    """Receive one framed message; ``(message, peer_version)`` or ``None``.
+) -> Any:
+    """Receive one framed message; ``None`` when the peer closed cleanly.
 
-    ``None`` means the peer closed cleanly at a frame boundary.  The peer
-    version lets connection handlers answer a v3 peer at v3
-    (:func:`send_message`'s ``version``).  Payload decoding is
-    version-agnostic (:func:`deserialize` sniffs the canonical magic), so a
-    v3 pickle and a v4 canonical payload both decode here.
+    ``on_progress`` fires per received chunk, mid-frame included (see
+    :func:`recv_frame`).  The payload must be canonically encoded: anything
+    else (say, a plain pickle from an older library revision) raises
+    :class:`ProtocolError`.
     """
-    header = _recv_exact(sock, _FRAME_HEADER.size, eof_ok=True, on_progress=on_progress)
-    if header is None:
+    payload = recv_frame(sock, on_progress=on_progress)
+    if payload is None:
         return None
-    version, length = _check_header(header)
-    payload = b""
-    if length:
-        payload = _recv_exact(sock, length, eof_ok=False, on_progress=on_progress)
-    return deserialize(payload), version
+    if not _is_canonical(payload):
+        raise ProtocolError(
+            f"frame payload is not canonically encoded; {_SAME_REVISION}"
+        )
+    return _canonical_decode(payload)
 
 
 def _send_segments(

@@ -13,10 +13,7 @@ system-level toggle (:meth:`System.configure_executor`): the reuse policies
 stay untouched and only the task-dispatch strategy underneath them changes —
 ``"inline"`` (reference), ``"thread"`` (latency-bound parallelism),
 ``"process"`` (CPU-bound parallelism) or ``"distributed"`` (multi-worker
-dispatch over sockets).  The deprecated engine API from the old
-serial/parallel split (:meth:`System.configure_engine`, the ``engine``
-attribute, the ``"serial"``/``"parallel"`` names) remains as a shim that
-maps onto the executor strategies.
+dispatch over sockets).
 
 Worker-pool ownership (also documented in ``docs/executors.md``): executors
 whose startup is expensive (``"process"``, ``"distributed"``) are
@@ -31,19 +28,13 @@ caller-owned: the system never shuts it down.
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from typing import Optional, Sequence
 
 from ..core.workflow import Workflow
 from ..exceptions import ExecutionError
 from ..execution.engine import ExecutionEngine, create_engine
-from ..execution.executors import (
-    Executor,
-    LEGACY_NAME_BY_EXECUTOR,
-    create_executor,
-    resolve_executor_name,
-)
+from ..execution.executors import Executor, create_executor, resolve_executor_name
 from ..execution.tracker import RunStats
 
 __all__ = ["System", "AUTO_POOLED_EXECUTORS"]
@@ -52,27 +43,6 @@ __all__ = ["System", "AUTO_POOLED_EXECUTORS"]
 #: enough to start that the System keeps one owned instance alive across
 #: lifecycle iterations instead of paying one pool fork per iteration.
 AUTO_POOLED_EXECUTORS = ("process", "distributed")
-
-
-def _resolve_executor_arg(
-    executor: Optional[str], engine: Optional[str], default: str = "inline"
-) -> str:
-    """Pick the executor spec from the (new, legacy) constructor keywords.
-
-    An explicitly passed legacy ``engine`` keyword warns, so every deprecated
-    entry point is observable before the aliases are eventually removed.
-    """
-    if executor is not None:
-        return executor
-    if engine is not None:
-        warnings.warn(
-            "the engine= keyword is deprecated; use executor= "
-            '("serial" -> "inline", "parallel" -> "thread")',
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return engine
-    return default
 
 
 class System(ABC):
@@ -98,17 +68,6 @@ class System(ABC):
     #: engine construction and closed by :meth:`close_executor`.
     _owned_executor: Optional[Executor] = None
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # PR 2 subclasses could declare ``engine = "parallel"`` at class
-        # level.  A plain string there would shadow the ``engine`` property
-        # and be silently ignored by ``_create_engine`` (which reads
-        # ``executor_name``), so translate it instead of letting it lie.
-        legacy = cls.__dict__.get("engine")
-        if isinstance(legacy, str):
-            delattr(cls, "engine")
-            cls.executor_name = resolve_executor_name(legacy)
-
     # ------------------------------------------------------------------ executor selection
     def configure_executor(
         self,
@@ -121,10 +80,8 @@ class System(ABC):
         Parameters
         ----------
         executor:
-            A canonical executor name (``"inline"``, ``"thread"``,
-            ``"process"``, ``"distributed"``), one of the deprecated engine
-            aliases (``"serial"`` -> ``"inline"``, ``"parallel"`` ->
-            ``"thread"``), or a ready :class:`Executor` instance.
+            An executor name (``"inline"``, ``"thread"``, ``"process"``,
+            ``"distributed"``) or a ready :class:`Executor` instance.
         max_workers:
             Worker count for pool-backed strategies; ``None`` uses the
             library default.  Rejected when ``executor`` is an instance
@@ -192,41 +149,6 @@ class System(ABC):
         left = list(self.workers) if self.workers is not None else None
         right = list(workers) if workers is not None else None
         return left == right
-
-    def configure_engine(
-        self, engine: str = "serial", max_workers: Optional[int] = None
-    ) -> "System":
-        """Deprecated alias for :meth:`configure_executor`.
-
-        .. deprecated::
-            Retained from the PR 2 serial/parallel engine split; the engine
-            names map onto executor strategies (``"serial"`` -> ``"inline"``,
-            ``"parallel"`` -> ``"thread"``).
-        """
-        warnings.warn(
-            "System.configure_engine is deprecated; use "
-            "System.configure_executor(executor=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.configure_executor(engine, max_workers)
-
-    @property
-    def engine(self) -> str:
-        """Deprecated: the configured executor under its legacy engine name."""
-        name = (
-            self.executor_name.name
-            if isinstance(self.executor_name, Executor)
-            else self.executor_name
-        )
-        return LEGACY_NAME_BY_EXECUTOR.get(name, name)
-
-    @engine.setter
-    def engine(self, value: str) -> None:
-        name = resolve_executor_name(value)
-        self.close_executor()
-        self.executor_name = name
-        self.workers = None  # legacy engine names never address remote workers
 
     @property
     def owned_executor(self) -> Optional[Executor]:

@@ -31,7 +31,7 @@ from ..optimizer.metrics import StatsStore
 from ..optimizer.oep import solve_oep
 from ..optimizer.omp import AlwaysMaterialize
 from ..storage.store import InMemoryStore
-from .base import System, _resolve_executor_arg
+from .base import System
 
 __all__ = ["DeepDiveSystem"]
 
@@ -69,15 +69,14 @@ class DeepDiveSystem(System):
         cost_model: Optional[CostModel] = None,
         seed: int = 0,
         dpr_slowdown: float = 2.0,
-        executor: Optional[str] = None,
-        engine: Optional[str] = None,
+        executor: str = "inline",
         max_workers: Optional[int] = None,
     ):
         base = cost_model if cost_model is not None else MeasuredCostModel()
         self.cost_model = _DPRSlowdownCostModel(base, dpr_slowdown) if dpr_slowdown != 1.0 else base
         self.seed = seed
         self._iteration_storage: Dict[int, int] = {}
-        self.configure_executor(_resolve_executor_arg(executor, engine), max_workers)
+        self.configure_executor(executor, max_workers)
 
     def supports(self, workload_name: str) -> bool:
         return workload_name in _SUPPORTED_WORKLOADS

@@ -67,6 +67,8 @@ from repro.execution.executors import (
     _ArtifactCache,
     _fetch_from_peer,
     _PeerArtifactServer,
+    _is_registration,
+    _parse_registration,
     parse_worker_address,
     run_serialized_task,
 )
@@ -77,7 +79,6 @@ from repro.optimizer.omp import StreamingMaterializationPolicy
 from repro.storage.serialization import (
     ArtifactRef,
     FRAME_MAGIC,
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     decode_frame,
     deserialize,
@@ -148,16 +149,35 @@ def _listen_worker_main(port_queue, worker_id=None, heartbeat_interval=0.5, port
 
 
 def _start_listening_workers(count):
-    """Start ``count`` listening worker processes; return (processes, addresses)."""
+    """Start ``count`` listening worker processes; return (processes, addresses).
+
+    ``addresses[i]`` is the port ``processes[i]`` bound: each worker reports
+    on its own queue, so workers that finish binding out of order cannot
+    swap addresses (tests kill ``processes[i]`` and assert on
+    ``addresses[i]``).
+    """
     ctx = multiprocessing.get_context()
-    port_queue = ctx.Queue()
-    processes = []
+    processes, port_queues = [], []
     for _ in range(count):
+        port_queue = ctx.Queue()
         process = ctx.Process(target=_listen_worker_main, args=(port_queue,), daemon=True)
         process.start()
         processes.append(process)
-    addresses = [f"127.0.0.1:{port_queue.get(timeout=10)}" for _ in processes]
+        port_queues.append(port_queue)
+    addresses = [f"127.0.0.1:{port_queue.get(timeout=10)}" for port_queue in port_queues]
     return processes, addresses
+
+
+def _stamp_version(frame, version):
+    """Rewrite a frame's header version (bytes 2:4), as another revision would."""
+    forged = bytearray(frame)
+    forged[2:4] = version.to_bytes(2, "big")
+    return bytes(forged)
+
+
+def _message_frame(message):
+    """The exact bytes ``send_message`` puts on the wire for ``message``."""
+    return b"".join(bytes(segment) for segment in message_segments(message))
 
 
 def _reap(processes):
@@ -198,7 +218,7 @@ class TestWireFormat:
             right.close()
 
     def test_protocol_version_mismatch_rejected(self):
-        frame = encode_frame(b"payload", version=PROTOCOL_VERSION + 1)
+        frame = _stamp_version(encode_frame(b"payload"), PROTOCOL_VERSION + 1)
         with pytest.raises(ProtocolError, match="version mismatch"):
             decode_frame(frame)
         left, right = socket.socketpair()
@@ -243,12 +263,12 @@ class TestWireFormat:
 
 
 # ---------------------------------------------------------------------------
-# Protocol v4: canonical payloads, negotiation, batching, fuzz
+# Message transport: canonical payloads, one revision, batching, fuzz
 # ---------------------------------------------------------------------------
 class TestWireProtocolV4:
-    """Version 4 of the wire protocol: canonical zero-copy payloads, v3
-    fallback negotiation, batch envelopes — and the fuzz contract that every
-    malformed input surfaces as a typed error, never a dead worker."""
+    """The message layer: canonical zero-copy payloads, exactly one protocol
+    revision on every wire, batch envelopes — and the fuzz contract that
+    every malformed input surfaces as a typed error, never a dead worker."""
 
     def test_v4_frame_is_header_plus_canonical_payload(self):
         """The gather-write segments join to exactly the packed frame."""
@@ -258,34 +278,17 @@ class TestWireProtocolV4:
         assert joined[:2] == FRAME_MAGIC
         assert int.from_bytes(joined[2:4], "big") == PROTOCOL_VERSION
 
-    def test_send_and_recv_carry_both_protocol_versions(self):
-        """A v3 frame is a plain-pickle payload under a version-3 header;
-        ``recv_message`` reports which version each frame arrived at."""
+    def test_plain_pickle_payload_is_a_typed_error(self):
+        """``recv_message`` returns the message alone, and decodes canonical
+        payloads only: a plain pickle under a current header — what an
+        older revision put on the wire — is a ``ProtocolError``."""
         message = ("ack", "w0", "s0", "n0")
         left, right = socket.socketpair()
         try:
             send_message(left, message)
-            send_message(left, message, version=3)
-            # what a real v3 peer puts on the wire, byte for byte
-            left.sendall(encode_frame(pickle.dumps(message, protocol=4), version=3))
-            assert recv_message(right) == (message, PROTOCOL_VERSION)
-            assert recv_message(right) == (message, 3)
-            assert recv_message(right) == (message, 3)
-            left.close()
-            assert recv_message(right) is None
-        finally:
-            left.close()
-            right.close()
-
-    def test_versions_outside_the_window_are_typed_errors(self):
-        message = ("heartbeat", "w0")
-        for version in (MIN_PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1):
-            with pytest.raises(ProtocolError, match="version"):
-                message_segments(message, version=version)
-        left, right = socket.socketpair()
-        try:
-            left.sendall(encode_frame(b"junk", version=MIN_PROTOCOL_VERSION - 1))
-            with pytest.raises(ProtocolError, match="version mismatch"):
+            assert recv_message(right) == message
+            left.sendall(encode_frame(pickle.dumps(message, protocol=4)))
+            with pytest.raises(ProtocolError, match="same library revision"):
                 recv_message(right)
         finally:
             left.close()
@@ -313,39 +316,28 @@ class TestWireProtocolV4:
         with pytest.raises(ProtocolError, match="unknown type tag"):
             deserialize(bytes(packed))
 
-    def test_worker_answers_a_v3_coordinator_at_v3(self):
-        """The worker registers optimistically at v4 but downgrades every
-        reply to the version the coordinator demonstrably speaks."""
-        from repro.core.operators import RunContext
-        from repro.workloads.synthetic import LatencyOperator
+    def test_registration_and_heartbeat_have_one_shape(self):
+        """Registration is exactly the 5-tuple and a heartbeat exactly the
+        stats-carrying 3-tuple; anything else is not spoken here."""
+        good = ("register", "w0", 4242, 0.5, ("127.0.0.1", 7070))
+        assert _is_registration(good)
+        assert _parse_registration(good) == ("w0", 4242, 0.5, ("127.0.0.1", 7070))
+        for bad in (good[:3], good[:4], good + (None,), ("heartbeat",) + good[1:], list(good)):
+            assert not _is_registration(bad)
+        # a malformed peer address means "no peer listener", not an error
+        assert _parse_registration(good[:4] + ("not-an-address",))[3] is None
 
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        coordinator = socket.create_connection(listener.getsockname())
-        worker_side, _ = listener.accept()
-        listener.close()
-        server = WorkerServer(worker_id="v3w", heartbeat_interval=60.0)
-        thread = threading.Thread(
-            target=lambda: server._serve_connection(worker_side), daemon=True
-        )
-        thread.start()
+        executor = DistributedExecutor(max_workers=1)
+        handle = _make_handle("w0")
         try:
-            register, version = recv_message(coordinator)
-            assert register[0] == "register" and version == PROTOCOL_VERSION
-            payload = serialize(("k1", LatencyOperator(offset=1.0), [], RunContext()))
-            send_message(coordinator, ("task", "s0", "k1", payload), version=3)
-            ack, version = recv_message(coordinator)
-            assert ack == ("ack", "v3w", "s0", "k1")
-            assert version == 3
-            result, version = recv_message(coordinator)
-            assert result[0] == "result" and result[2] == "k1"
-            assert version == 3
-            send_message(coordinator, ("shutdown",), version=3)
-            thread.join(timeout=5)
-            assert not thread.is_alive()
+            executor._handle_worker_message(handle, ("heartbeat", "w0", {"cache_hits": 2}))
+            assert executor.artifact_plane_stats()["cache_hits"] == 2
+            # a bare beat ends the connection (the receive loop treats any
+            # message it cannot handle as the peer not speaking this protocol)
+            with pytest.raises(ValueError):
+                executor._handle_worker_message(handle, ("heartbeat", "w0"))
         finally:
-            coordinator.close()
+            handle.sock.close()
 
     def test_worker_acks_a_batch_with_one_batched_frame(self):
         """A ``("batch", ...)`` dispatch is acked in one batched frame; an
@@ -370,22 +362,22 @@ class TestWireProtocolV4:
             return ("task", "s0", key, payload)
 
         try:
-            register, _ = recv_message(coordinator)
+            register = recv_message(coordinator)
             assert register[0] == "register"
             send_message(coordinator, ("batch", (_task("k1"), _task("k2"))))
-            acks, _ = recv_message(coordinator)
+            acks = recv_message(coordinator)
             assert acks == (
                 "batch",
                 (("ack", "bw", "s0", "k1"), ("ack", "bw", "s0", "k2")),
             )
-            results = [recv_message(coordinator)[0] for _ in range(2)]
+            results = [recv_message(coordinator) for _ in range(2)]
             assert [m[0] for m in results] == ["result", "result"]
             assert [m[2] for m in results] == ["k1", "k2"]  # lane stays FIFO
             send_message(coordinator, ("batch", ()))  # boundary: empty batch
             send_message(coordinator, _task("k3"))
-            ack, _ = recv_message(coordinator)
+            ack = recv_message(coordinator)
             assert ack == ("ack", "bw", "s0", "k3")
-            assert recv_message(coordinator)[0][2] == "k3"
+            assert recv_message(coordinator)[2] == "k3"
             send_message(coordinator, ("shutdown",))
             thread.join(timeout=5)
             assert not thread.is_alive()
@@ -393,14 +385,18 @@ class TestWireProtocolV4:
             coordinator.close()
 
     def test_malformed_frames_end_the_session_never_the_worker(self):
-        """Fuzzed inputs — bogus batch envelopes, short message tuples,
-        out-of-window versions, raw garbage, truncated canonical bodies —
-        each close that coordinator session; the listening worker then
-        serves the next coordinator as if nothing happened."""
+        """Fuzzed inputs — bogus batch envelopes, short message tuples, a
+        well-formed task from the previous protocol revision, raw garbage,
+        truncated canonical bodies — each make the worker end that
+        coordinator session; the listening worker then serves the next
+        coordinator as if nothing happened."""
+        old_revision_task = _stamp_version(
+            _message_frame(("task", "s0", "k", b"payload")), PROTOCOL_VERSION - 1
+        )
         scenarios = [
             lambda s: send_message(s, ("batch", 42)),
             lambda s: send_message(s, ("task", "session-and-nothing-else")),
-            lambda s: s.sendall(encode_frame(b"junk", version=MIN_PROTOCOL_VERSION - 1)),
+            lambda s: s.sendall(old_revision_task),
             lambda s: s.sendall(b"ZZZZZZZZZZZZ"),
             lambda s: s.sendall(
                 encode_frame(serialize(("task", "s0", "k", b"x" * 100))[:-3])
@@ -423,15 +419,21 @@ class TestWireProtocolV4:
         for poke in scenarios:
             sock = socket.create_connection(("127.0.0.1", port), timeout=10)
             try:
-                register, _ = recv_message(sock)
+                register = recv_message(sock)
                 assert register[:2] == ("register", "fuzzed")  # alive pre-poke
                 poke(sock)
+                # the worker hangs up (no heartbeats at a 60s interval): a
+                # clean EOF, or a reset if it closed with our bytes unread
+                try:
+                    assert recv_message(sock) is None
+                except ProtocolError:
+                    pass
             finally:
                 sock.close()
         # after every malformed session the worker still serves cleanly
         sock = socket.create_connection(("127.0.0.1", port), timeout=10)
         try:
-            register, _ = recv_message(sock)
+            register = recv_message(sock)
             assert register[:2] == ("register", "fuzzed")
             send_message(sock, ("shutdown",))
         finally:
@@ -439,90 +441,70 @@ class TestWireProtocolV4:
         worker.join(timeout=10)
         assert not worker.is_alive()
 
-    def test_v3_worker_is_never_sent_batches(self):
-        """A worker that registered at v3 gets plain-pickle v3 task frames,
-        one per dispatch, even when the coordinator could batch."""
+    def test_old_revision_registration_fails_start_typed(self):
+        """A listening peer that registers under the previous protocol
+        version is refused: ``start()`` raises a typed ``ExecutionError``
+        naming the mismatch once ``start_timeout`` expires — it never hangs."""
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
+        listener.listen(8)
+        listener.settimeout(0.2)
         host, port = listener.getsockname()[:2]
-        seen: "queue.Queue[Tuple[tuple, int]]" = queue.Queue()
+        registration = _stamp_version(
+            _message_frame(("register", "old", 4242, 60.0, None)), PROTOCOL_VERSION - 1
+        )
+        stop = threading.Event()
 
-        def _v3_worker():
-            conn, _ = listener.accept()
-            conn.sendall(
-                encode_frame(
-                    pickle.dumps(("register", "old", 4242, 60.0), protocol=4),
-                    version=3,
-                )
-            )
-            try:
-                while True:
-                    received = recv_message(conn)
-                    if received is None:
-                        return
-                    message, version = received
-                    if message[0] == "task":
-                        seen.put((message, version))
-                        # complete the task so the drain in shutdown returns
-                        reply = ("error", message[1], message[2],
-                                 ExecutionError("synthetic v3 failure"))
-                        conn.sendall(
-                            encode_frame(pickle.dumps(
-                                ("ack", "old", message[1], message[2]),
-                                protocol=4), version=3)
-                        )
-                        conn.sendall(
-                            encode_frame(pickle.dumps(reply, protocol=4), version=3)
-                        )
-            except (OSError, ProtocolError):
-                return
+        def _old_revision_worker():
+            while not stop.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except socket.timeout:
+                    continue
+                except OSError:
+                    return
+                with conn:
+                    conn.sendall(registration)
 
-        fake = threading.Thread(target=_v3_worker, daemon=True)
+        fake = threading.Thread(target=_old_revision_worker, daemon=True)
         fake.start()
+        start_timeout = 1.0
         executor = DistributedExecutor(
-            workers=[f"{host}:{port}"], pipeline_depth=8, max_task_attempts=1
+            workers=[f"{host}:{port}"], start_timeout=start_timeout, connect_timeout=0.5
         )
         try:
-            executor.start()
-            for index in range(3):
-                executor.submit_payload(f"n{index}", b"tiny-payload")
-            failures = sorted(executor.next_completion()[0] for _ in range(3))
-            assert failures == ["n0", "n1", "n2"]
-            versions = set()
-            kinds = set()
-            while not seen.empty():
-                message, version = seen.get()
-                kinds.add(message[0])
-                versions.add(version)
-            assert kinds == {"task"}  # no batch envelope ever reached v3
-            assert versions == {3}
-            executor.finish_run()
+            started = time.monotonic()
+            with pytest.raises(ExecutionError, match="protocol version mismatch"):
+                executor.start()
+            # the deadline plus at most one in-flight dial, never a hang
+            assert time.monotonic() - started < start_timeout + 0.5 + 2.0
         finally:
             executor.shutdown()
+            stop.set()
+            fake.join(timeout=5)
             listener.close()
 
     def test_small_tasks_batch_under_pipelining(self, monkeypatch):
-        """Queued small tasks for the same v4 worker coalesce into a
+        """Queued small tasks for the same worker coalesce into a
         ``("batch", ...)`` frame — and the run still completes exactly."""
         import repro.execution.executors as executors_module
         from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
 
-        original = executors_module._send_message
+        original = executors_module.send_message
         sent = []
 
-        def recording(sock, message, lock=None, version=PROTOCOL_VERSION):
+        def recording(sock, message, lock=None):
             if isinstance(message, tuple) and message[0] in ("task", "batch"):
                 sent.append(message[0])
                 if len(sent) == 1:
                     time.sleep(0.3)  # let the remaining submissions queue up
-            return original(sock, message, lock, version=version)
+            return original(sock, message, lock)
 
         executor = DistributedExecutor(max_workers=1, pipeline_depth=8)
         executor.start()
         try:
-            monkeypatch.setattr(executors_module, "_send_message", recording)
+            monkeypatch.setattr(executors_module, "send_message", recording)
             operator = LatencyOperator(offset=1.0)
             for index in range(4):
                 executor.submit_payload(
@@ -648,17 +630,17 @@ class TestWorkerFailureHandling:
         from repro.core.operators import RunContext
         from repro.workloads.synthetic import LatencyOperator
 
-        original = executors_module._send_message
+        original = executors_module.send_message
 
-        def refusing(sock, message, lock=None, version=PROTOCOL_VERSION):
+        def refusing(sock, message, lock=None):
             if isinstance(message, tuple) and message[0] == "task" and message[2] == "bad":
                 raise ProtocolError("frame payload exceeds the frame limit")
-            return original(sock, message, lock, version=version)
+            return original(sock, message, lock)
 
         executor = DistributedExecutor(max_workers=1)
         executor.start()
         try:
-            monkeypatch.setattr(executors_module, "_send_message", refusing)
+            monkeypatch.setattr(executors_module, "send_message", refusing)
             executor.submit_payload("bad", b"unframeable")
             key, _, error = executor.next_completion()
             assert key == "bad"
@@ -688,14 +670,14 @@ class TestWorkerFailureHandling:
         from repro.exceptions import OperatorError
         from repro.workloads.synthetic import LatencyOperator
 
-        original = executors_module._send_message
+        original = executors_module.send_message
 
-        def refusing(sock, message, lock=None, version=PROTOCOL_VERSION):
+        def refusing(sock, message, lock=None):
             if isinstance(message, tuple) and message[0] == "result" and message[2] == "huge":
                 raise ProtocolError("frame payload exceeds the frame limit")
-            return original(sock, message, lock, version=version)
+            return original(sock, message, lock)
 
-        monkeypatch.setattr(executors_module, "_send_message", refusing)
+        monkeypatch.setattr(executors_module, "send_message", refusing)
         executor = DistributedExecutor(max_workers=1)
         executor.start()  # fork happens with the patch in place
         try:
@@ -1245,7 +1227,7 @@ class TestArtifactPlane:
             register_a = _next_nonbeat(coord_a)
             register_b = _next_nonbeat(coord_b)
             assert register_a[0] == register_b[0] == "register"
-            # v5 registration announces each worker's peer listener address
+            # registration announces each worker's peer listener address
             peer_addr_a = register_a[4]
             assert peer_addr_a == ("127.0.0.1", worker_a._peer_server.port)
 
@@ -1344,40 +1326,6 @@ class TestArtifactPlane:
             coordinator.close()
             thread.join(timeout=5)
 
-    def test_v4_coordinator_gets_no_artifact_plane_frames(self):
-        """A worker that negotiated down to v4 must resolve refs exactly as
-        before the plane existed: no ``locate``, no peer dials — straight
-        to the coordinator-streamed fetch."""
-        from repro.core.operators import RunContext
-        from repro.workloads.synthetic import LatencyOperator
-
-        server, coordinator, thread = _scripted_worker("pv4")
-        try:
-            assert _next_nonbeat(coordinator)[0] == "register"
-            payload = serialize(
-                ("k", LatencyOperator(offset=1.0), [ArtifactRef("sigV")], RunContext())
-            )
-            # the v4-stamped frame downgrades the connection's peer version
-            send_frame(
-                coordinator, serialize(("task", "s1", "k", payload)), version=4
-            )
-            assert _next_nonbeat(coordinator)[0] == "ack"
-            fetch = _next_nonbeat(coordinator)
-            assert fetch == ("fetch", "pv4", "s1", "sigV")  # no locate first
-            send_frame(
-                coordinator,
-                serialize(("artifact", "s1", "sigV", serialize(3.0))),
-                version=4,
-            )
-            assert _next_nonbeat(coordinator)[0] == "result"
-        finally:
-            try:
-                send_frame(coordinator, serialize(("shutdown",)), version=4)
-            except OSError:
-                pass
-            coordinator.close()
-            thread.join(timeout=5)
-
     def test_locate_answers_empty_when_peer_fetch_disabled(self):
         """``DistributedExecutor(peer_fetch=False)`` never hands out peer
         addresses — and spawned workers skip the locate round trip
@@ -1457,18 +1405,18 @@ class TestArtifactPlane:
         executor._record_site("w-asker", "sigX")
         sent = []
 
-        def _capture(sock, message, lock=None, version=PROTOCOL_VERSION):
+        def _capture(sock, message, lock=None):
             sent.append(message)
 
         import repro.execution.executors as executors_module
 
-        original = executors_module._send_message
-        executors_module._send_message = _capture
+        original = executors_module.send_message
+        executors_module.send_message = _capture
         try:
             executor._answer_locate(asker, "s1", "sigX")
             # the asker never gets itself back, only the other holder
             assert sent[-1] == ("located", "s1", "sigX", (("127.0.0.1", 4001),))
-            # a holder without a peer listener (v4 worker) is not dialable
+            # a holder without a peer listener (peer fetch off) is not dialable
             holder.peer_address = None
             executor._answer_locate(asker, "s1", "sigX")
             assert sent[-1] == ("located", "s1", "sigX", ())
@@ -1482,14 +1430,14 @@ class TestArtifactPlane:
             assert stats["locates_served"] == 3
             assert stats["locates_with_peers"] == 1
         finally:
-            executors_module._send_message = original
+            executors_module.send_message = original
 
 
 def _make_handle(worker_id):
     from repro.execution.executors import _WorkerHandle
 
     handle = _WorkerHandle(worker_id)
-    handle.sock = socket.socket()  # never written: _send_message is stubbed
+    handle.sock = socket.socket()  # never written: send_message is stubbed
     return handle
 
 
@@ -1658,7 +1606,7 @@ class TestReviewRegressions:
 
         def _next_message():
             # Skip heartbeats: the 60s interval sends none periodically, but
-            # close_session flushes one final stats-carrying beat (v5).
+            # close_session flushes one final stats-carrying beat.
             while True:
                 frame = recv_frame(coordinator)
                 assert frame is not None, "worker closed the connection early"
@@ -1673,7 +1621,7 @@ class TestReviewRegressions:
             send_frame(coordinator, serialize(("task", session, key, payload)))
 
         def _serve_fetch(session="s1"):
-            # v5 worker first asks where the blob lives; an empty peer list
+            # the worker first asks where the blob lives; an empty peer list
             # routes it to the classic coordinator-streamed fetch.
             locate = _next_message()
             assert locate[:1] + locate[2:] == ("locate", session, "sigA"), locate
@@ -1726,7 +1674,7 @@ class TestReviewRegressions:
         def _fake_worker():
             conn, _ = listener.accept()
             # announce a slow heartbeat so silence never kills this worker
-            send_frame(conn, serialize(("register", "fake", 4242, 60.0)))
+            send_frame(conn, serialize(("register", "fake", 4242, 60.0, None)))
             worker_sock["conn"] = conn
 
         acceptor = threading.Thread(target=_fake_worker, daemon=True)
@@ -2014,14 +1962,14 @@ class TestFetchTimeoutAndReplyFraming:
         from repro.exceptions import OperatorError
         from repro.workloads.synthetic import LatencyOperator
 
-        original = executors_module._send_message
+        original = executors_module.send_message
 
-        def refusing(sock, message, lock=None, version=PROTOCOL_VERSION):
+        def refusing(sock, message, lock=None):
             if isinstance(message, tuple) and message[0] == "result" and message[2] == "big":
                 raise ProtocolError("frame payload exceeds the frame limit")
-            return original(sock, message, lock, version=version)
+            return original(sock, message, lock)
 
-        monkeypatch.setattr(executors_module, "_send_message", refusing)
+        monkeypatch.setattr(executors_module, "send_message", refusing)
         executor = DistributedExecutor(max_workers=1)
         executor.start()  # fork happens with the refusing transport in place
         engine = _engine_for(executor)

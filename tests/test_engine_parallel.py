@@ -51,7 +51,6 @@ from repro.execution.equivalence import (
     store_snapshot,
 )
 from repro.execution.executors import EXECUTOR_NAMES
-from repro.execution.parallel import ENGINE_NAMES, ParallelExecutionEngine
 from repro.optimizer.metrics import StatsStore
 from repro.optimizer.oep import NodeState, solve_oep
 from repro.optimizer.omp import (
@@ -531,29 +530,17 @@ class TestExecutorSelection:
         with pytest.raises(ExecutionError):
             create_engine("gpu", store=InMemoryStore())
 
-    def test_configure_engine_rejects_unknown_name(self):
-        with pytest.raises(ExecutionError), pytest.warns(DeprecationWarning):
-            HelixSystem.opt().configure_engine("gpu")
-
-    def test_configure_engine_is_deprecated_but_works(self):
-        system = HelixSystem.opt()
-        with pytest.warns(DeprecationWarning):
-            system.configure_engine("parallel", max_workers=2)
-        assert system.executor_name == "thread"
-        assert system.engine == "parallel"
+    @pytest.mark.parametrize("name", ["serial", "parallel"])
+    def test_removed_engine_names_are_unknown_executors(self, name):
+        with pytest.raises(ExecutionError, match="unknown executor"):
+            create_engine(name, store=InMemoryStore())
+        with pytest.raises(ExecutionError, match="unknown executor"):
+            HelixSystem.opt().configure_executor(name)
 
     @pytest.mark.parametrize("executor", POOLED_EXECUTORS)
     def test_pool_executors_reject_bad_worker_count(self, executor):
         with pytest.raises(ExecutionError):
             create_engine(executor, store=InMemoryStore(), max_workers=0)
-
-    def test_parallel_engine_shim_rejects_bad_worker_count(self):
-        with pytest.raises(ExecutionError):
-            ParallelExecutionEngine(store=InMemoryStore(), max_workers=0)
-
-    def test_parallel_engine_shim_uses_thread_executor(self):
-        engine = ParallelExecutionEngine(store=InMemoryStore(), max_workers=2)
-        assert engine.executor == "thread"
 
     def test_engine_rejects_max_workers_with_executor_instance(self):
         from repro.execution.executors import ThreadExecutor
@@ -565,62 +552,11 @@ class TestExecutorSelection:
                 store=InMemoryStore(), executor=ThreadExecutor(max_workers=2), max_workers=4
             )
 
-    def test_legacy_class_level_engine_attribute_translates(self):
-        from repro.systems.base import System
-
-        class LegacySystem(System):
-            engine = "parallel"  # PR 2 style class-level declaration
-
-            def run_iteration(self, workflow, iteration, iteration_type=""):
-                raise NotImplementedError
-
-            def reset(self):
-                pass
-
-        assert LegacySystem.executor_name == "thread"
-        instance = LegacySystem()
-        assert instance.executor_name == "thread"
-        assert instance.engine == "parallel"
-
-    def test_legacy_engine_names_resolve_to_executors(self):
-        assert create_engine("serial", store=InMemoryStore()).executor == "inline"
-        assert create_engine("parallel", store=InMemoryStore()).executor == "thread"
-        with pytest.warns(DeprecationWarning):
-            assert create_engine(engine="parallel", store=InMemoryStore()).executor == "thread"
-        assert ENGINE_NAMES == ("serial", "parallel")
-
-    def test_system_constructor_accepts_legacy_engine(self):
-        with pytest.warns(DeprecationWarning):
-            system = HelixSystem.opt(engine="parallel", max_workers=3)
-        assert system.engine == "parallel"
-        assert system.executor_name == "thread"
-        assert system.max_workers == 3
-
     @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
     def test_system_constructor_accepts_executor(self, executor):
         system = HelixSystem.opt(executor=executor, max_workers=2)
         assert system.executor_name == executor
         assert system.max_workers == 2
-
-    def test_engine_property_round_trips_legacy_names(self):
-        system = HelixSystem.opt()
-        assert system.engine == "serial"
-        system.engine = "parallel"
-        assert system.executor_name == "thread"
-        system.configure_executor("process")
-        assert system.engine == "process"  # no legacy alias: canonical name
-
-    def test_run_lifecycle_engine_override_equivalent(self):
-        serial = HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0)
-        parallel = HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0)
-        reference = run_lifecycle(serial, "census", n_iterations=2)
-        with pytest.warns(DeprecationWarning):
-            candidate = run_lifecycle(
-                parallel, "census", n_iterations=2, engine="parallel", max_workers=4
-            )
-        assert parallel.engine == "parallel"
-        for serial_stats, parallel_stats in zip(reference.iterations, candidate.iterations):
-            assert_equivalent_runs(serial_stats, parallel_stats)
 
     def test_run_lifecycle_executor_override(self):
         system = HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0)

@@ -1,6 +1,6 @@
 """Helix-as-a-service: the ``repro serve`` daemon and ``repro submit`` client.
 
-Pins down the serving layer built on protocol v3 session multiplexing:
+Pins down the serving layer built on the fleet's session multiplexing:
 
 * **Equivalence** — two runs submitted concurrently to one daemon execute
   on a shared 2-worker fleet at the same time (``peak_active == 2``) and
@@ -9,8 +9,9 @@ Pins down the serving layer built on protocol v3 session multiplexing:
 * **Scheduling** — admission is FIFO; ``max_concurrent_runs`` bounds how
   many runs execute at once, and queued submissions report their position.
 * **Admission** — malformed specs (unknown workload, bad policy, wrong
-  frame) are refused with a typed message at submit time, client- and
-  daemon-side, without disturbing the fleet.
+  frame, a frame from another protocol revision) are refused with a typed
+  message at submit time, client- and daemon-side, without disturbing the
+  fleet.
 * **CLI** — ``repro submit --verify-inline --json`` round-trips against an
   in-process daemon.
 """
@@ -25,7 +26,6 @@ import time
 import pytest
 
 from repro.exceptions import ExecutionError
-from repro.execution.executors import _recv_message, _send_message
 from repro.service import (
     ServeDaemon,
     ServiceClient,
@@ -35,6 +35,12 @@ from repro.service import (
     validate_spec,
 )
 from repro.service.cli import submit_main
+from repro.storage.serialization import (
+    PROTOCOL_VERSION,
+    message_segments,
+    recv_message,
+    send_message,
+)
 
 CENSUS_SPEC = {
     "workload": "census",
@@ -151,8 +157,8 @@ class TestServeDaemon:
             # bypassing the client's local validate with a raw frame
             sock = socket.create_connection(daemon.address, timeout=5)
             try:
-                _send_message(sock, ("submit", {"workload": "nope"}))
-                reply = _recv_message(sock)
+                send_message(sock, ("submit", {"workload": "nope"}))
+                reply = recv_message(sock)
             finally:
                 sock.close()
             assert reply[0] == "failed"
@@ -165,12 +171,31 @@ class TestServeDaemon:
         with ServeDaemon(max_workers=1) as daemon:
             sock = socket.create_connection(daemon.address, timeout=5)
             try:
-                _send_message(sock, ("heartbeat", "w0"))
-                reply = _recv_message(sock)
+                send_message(sock, ("heartbeat", "w0"))
+                reply = recv_message(sock)
             finally:
                 sock.close()
         assert reply[0] == "failed"
         assert "submit" in reply[2]
+
+    def test_old_revision_submit_is_refused_and_daemon_keeps_serving(self, monkeypatch):
+        """A submit frame stamped with the previous protocol version gets
+        the client a typed ExecutionError; the next client is served."""
+        import repro.service.client as client_module
+
+        def old_revision_send(sock, message, lock=None):
+            frame = bytearray(b"".join(bytes(s) for s in message_segments(message)))
+            frame[2:4] = (PROTOCOL_VERSION - 1).to_bytes(2, "big")
+            sock.sendall(bytes(frame))
+
+        with ServeDaemon(max_workers=1) as daemon:
+            client = ServiceClient(daemon.address)
+            with monkeypatch.context() as patch:
+                patch.setattr(client_module, "send_message", old_revision_send)
+                with pytest.raises(ExecutionError, match="protocol version mismatch"):
+                    client.submit(dict(CENSUS_SPEC, iterations=1))
+            payload = client.submit(dict(CENSUS_SPEC, iterations=1)).result()
+            assert payload["summary"]["iterations"] == 1
 
     def test_client_rejects_bad_spec_without_connecting(self):
         client = ServiceClient(("127.0.0.1", 1))  # nothing listens there
@@ -310,10 +335,10 @@ class TestStopSemantics:
         server_side, _ = listener.accept()
         listener.close()
         try:
-            _send_message(client_sock, ("submit", dict(CENSUS_SPEC)))
+            send_message(client_sock, ("submit", dict(CENSUS_SPEC)))
             daemon._handle_submission(server_side)
             client_sock.settimeout(5.0)
-            reply = _recv_message(client_sock)
+            reply = recv_message(client_sock)
             assert reply[0] == "failed"
             assert "stopping" in reply[2]
             assert daemon._scheduler.qsize() == 0  # nothing stranded for a drain
@@ -390,6 +415,7 @@ class TestBugfixes:
             ("failed",),                   # truncated refusal
             "accepted",                    # not a tuple at all
             ("accepted", "run-1", "soon"), # junk position payload
+            ("accepted", "run-1", 3),      # bare count instead of a dict
         ],
     )
     def test_malformed_admission_reply_raises_typed(self, reply):
@@ -401,8 +427,8 @@ class TestBugfixes:
 
         def _fake_daemon():
             conn, _ = listener.accept()
-            _recv_message(conn)  # the submit frame
-            _send_message(conn, reply)
+            recv_message(conn)  # the submit frame
+            send_message(conn, reply)
             conn.close()
 
         server = threading.Thread(target=_fake_daemon, daemon=True)
@@ -411,30 +437,6 @@ class TestBugfixes:
             client = ServiceClient(listener.getsockname(), connect_timeout=5)
             with pytest.raises(ExecutionError, match="admission reply"):
                 client.submit(dict(CENSUS_SPEC))
-        finally:
-            server.join(timeout=5)
-            listener.close()
-
-    def test_legacy_integer_admission_reply_still_accepted(self):
-        """Pre-scheduler daemons reported a bare queued+active count."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-
-        def _fake_daemon():
-            conn, _ = listener.accept()
-            _recv_message(conn)
-            _send_message(conn, ("accepted", "run-1", 3))
-            conn.close()
-
-        server = threading.Thread(target=_fake_daemon, daemon=True)
-        server.start()
-        try:
-            client = ServiceClient(listener.getsockname(), connect_timeout=5)
-            handle = client.submit(dict(CENSUS_SPEC))
-            assert handle.queue_position == 3
-            assert handle.queued_ahead == 3 and handle.active_at_admission == 0
-            handle.close()
         finally:
             server.join(timeout=5)
             listener.close()
