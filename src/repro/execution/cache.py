@@ -38,13 +38,23 @@ __all__ = ["CacheEntry", "OperatorCache", "EagerCache", "LRUCache"]
 
 
 class CacheEntry:
-    """One cached operator output and its estimated in-memory size."""
+    """One cached operator output and its estimated in-memory size.
 
-    __slots__ = ("value", "size_bytes")
+    ``blob`` holds the value's serialized bytes when they arrived with it
+    (an out-of-process worker's reply), so the engine can ship the value to
+    child tasks and to the store without encoding it again.  Size
+    accounting always uses the estimate of the value itself: whether the
+    bytes are held does not change the Figure 10 memory numbers.
+    """
 
-    def __init__(self, value: Any, size_bytes: Optional[int] = None):
+    __slots__ = ("value", "size_bytes", "blob")
+
+    def __init__(
+        self, value: Any, size_bytes: Optional[int] = None, blob: Optional[bytes] = None
+    ):
         self.value = value
         self.size_bytes = estimate_size_bytes(value) if size_bytes is None else int(size_bytes)
+        self.blob = blob
 
 
 class OperatorCache:
@@ -68,20 +78,29 @@ class OperatorCache:
         with self._lock:
             return list(self._entries)
 
-    def put(self, name: str, value: Any, size_bytes: Optional[int] = None) -> CacheEntry:
-        entry = CacheEntry(value, size_bytes)
+    def put(
+        self,
+        name: str,
+        value: Any,
+        size_bytes: Optional[int] = None,
+        blob: Optional[bytes] = None,
+    ) -> CacheEntry:
+        entry = CacheEntry(value, size_bytes, blob)
         with self._lock:
             self._entries[name] = entry
             self._on_put(name)
         return entry
 
     def get(self, name: str) -> Any:
+        return self.get_entry(name).value
+
+    def get_entry(self, name: str) -> CacheEntry:
         with self._lock:
             entry = self._entries.get(name)
             if entry is None:
                 raise ExecutionError(f"value for node {name!r} is not cached")
             self._on_get(name)
-            return entry.value
+            return entry
 
     def evict(self, name: str) -> Optional[CacheEntry]:
         with self._lock:

@@ -48,13 +48,26 @@ Out-of-process execution
 With the process and distributed executors, COMPUTE tasks are shipped to
 workers as serialized ``(node_name, operator, inputs, context)`` payloads
 (:mod:`repro.storage.serialization`; the distributed executor additionally
-frames them for its TCP transport); the worker returns the value plus its
-measured compute seconds, and the engine applies the cost model on receipt
-so charged times follow the same code path as in-process execution.  LOAD
-tasks, cache bookkeeping, retirement commits and stats recording never leave
-the coordinating process.  Every COMPUTE operator is validated for process
-safety (picklability round trip + :attr:`Operator.supports_processes`)
-before any work is dispatched.
+frames them for its TCP transport).  The worker replies with the value's
+own serialized bytes plus its measured compute seconds; the executor
+delivers the outcome ``(value, measured_seconds, value_bytes)`` and the
+engine applies the cost model on receipt, so charged times follow the same
+code path as in-process execution.
+
+Values are encoded once.  The engine caches a worker's ``value_bytes``
+next to the decoded value until the node retires, and reuses them wherever
+those exact bytes are needed again: a child's payload carries the parent
+as an :class:`~repro.storage.serialization.EncodedValue` placeholder (or,
+when the parent is already in the store and the executor fetches inputs,
+as an :class:`~repro.storage.serialization.ArtifactRef`), and the
+retirement commit hands the bytes to ``store.put``.  This relies on the
+canonical codec's fixpoint property, ``serialize(deserialize(b)) == b``,
+so stored sizes and digests are identical to encoding the decoded value.
+
+LOAD tasks, cache bookkeeping, retirement commits and stats recording never
+leave the coordinating process.  Every COMPUTE operator is validated for
+process safety (picklability round trip +
+:attr:`Operator.supports_processes`) before any work is dispatched.
 """
 
 from __future__ import annotations
@@ -71,9 +84,14 @@ from ..optimizer.metrics import StatsStore
 from ..optimizer.oep import ExecutionPlan, NodeState
 from ..optimizer.omp import MaterializationPolicy, NeverMaterialize
 from ..optimizer.pruning import out_of_scope_after
-from ..storage.serialization import ArtifactRef, estimate_size_bytes, serialize
+from ..storage.serialization import (
+    ArtifactRef,
+    EncodedValue,
+    estimate_size_bytes,
+    serialize,
+)
 from ..storage.store import MaterializationStore
-from .cache import EagerCache, OperatorCache
+from .cache import CacheEntry, EagerCache, OperatorCache
 from .clock import CostModel, MeasuredCostModel
 from .executors import Executor, ExecutorSpec, create_executor, resolve_executor_name
 from .tracker import MemoryTracker, RunStats
@@ -203,11 +221,13 @@ class ExecutionEngine:
                 if error is not None:
                     failure = error
                     break
-                value, charged = self._charged_result(dag, name, outcome, shipped_input_sizes)
+                value, charged, blob = self._charged_result(
+                    dag, name, outcome, shipped_input_sizes
+                )
 
                 node = dag.node(name)
                 size_bytes = estimate_size_bytes(value)
-                self.cache.put(name, value, size_bytes)
+                self.cache.put(name, value, size_bytes, blob)
                 self.cache.set_consumers(name, consumers[name])
                 stats.node_times[name] = charged
                 stats.node_sizes[name] = size_bytes
@@ -297,22 +317,30 @@ class ExecutionEngine:
     ) -> Tuple[bytes, List[int]]:
         """Serialize one COMPUTE task for an out-of-process worker.
 
-        With ``use_refs`` (executors whose workers fetch from the bound
-        store), inputs whose value is already materialized ship as
-        :class:`ArtifactRef` placeholders instead of inline bytes — the
-        worker pulls them over the FETCH lane and caches them, so an input
-        shared by several tasks crosses the wire once, not once per task.
+        Each input ships in the cheapest form available:
+
+        * with ``use_refs`` (executors whose workers fetch from the bound
+          store), an input already materialized ships as an
+          :class:`ArtifactRef` — the worker pulls it over the FETCH lane and
+          caches it, so an input shared by several tasks crosses the wire
+          once, not once per task;
+        * an input cached with its serialized bytes (a worker computed it)
+          ships as an :class:`EncodedValue` around those bytes, so it is
+          never encoded again;
+        * anything else (a value loaded in-process) is encoded inline.
+
         Input *sizes* are always taken from the live cached values, so the
         cost model sees identical numbers whichever way the value travels.
         """
-        inputs, input_sizes = self._gather_inputs(dag, name)
-        if use_refs:
-            inputs = [
-                ArtifactRef(signatures[parent])
-                if self.store.has(signatures[parent])
-                else value
-                for parent, value in zip(dag.node(name).parents, inputs)
-            ]
+        entries, input_sizes = self._gather_inputs(dag, name)
+        inputs: List[Any] = []
+        for parent, entry in zip(dag.node(name).parents, entries):
+            if use_refs and self.store.has(signatures[parent]):
+                inputs.append(ArtifactRef(signatures[parent]))
+            elif entry.blob is not None:
+                inputs.append(EncodedValue(entry.blob))
+            else:
+                inputs.append(entry.value)
         try:
             payload = serialize((name, dag.node(name).operator, inputs, self.context))
         except Exception as exc:  # noqa: BLE001 - unpicklable inputs/operator
@@ -328,23 +356,24 @@ class ExecutionEngine:
         name: str,
         outcome: Any,
         shipped_input_sizes: Dict[str, List[int]],
-    ) -> Tuple[Any, float]:
-        """Charge one completion.
+    ) -> Tuple[Any, float, Optional[bytes]]:
+        """Charge one completion; return ``(value, charged, value_bytes)``.
 
-        In-process outcomes are already ``(value, charged)``; out-of-process
-        COMPUTE outcomes are ``(value, measured_seconds)`` and the cost model
-        is applied here, on the scheduler, so charging is identical across
-        executors.
+        In-process outcomes are already ``(value, charged)`` and carry no
+        bytes; out-of-process COMPUTE outcomes are ``(value,
+        measured_seconds, value_bytes)`` and the cost model is applied here,
+        on the scheduler, so charging is identical across executors.
         """
         if name in shipped_input_sizes:
             input_sizes = shipped_input_sizes.pop(name)
-            value, measured = outcome
+            value, measured, blob = outcome
             node = dag.node(name)
             charged = self.cost_model.compute_cost(
                 node.operator, node.component, input_sizes, measured
             )
-            return value, charged
-        return outcome
+            return value, charged, blob
+        value, charged = outcome
+        return value, charged, None
 
     # ------------------------------------------------------------------ helpers
     def _new_run_stats(self, dag: WorkflowDAG, plan: ExecutionPlan, iteration: int) -> RunStats:
@@ -465,10 +494,12 @@ class ExecutionEngine:
         self.stats.record(signature, load_time=charged, storage_bytes=size_bytes)
         return value, charged
 
-    def _gather_inputs(self, dag: WorkflowDAG, name: str) -> Tuple[List[Any], List[int]]:
-        """Collect a node's cached input values and their estimated sizes."""
+    def _gather_inputs(
+        self, dag: WorkflowDAG, name: str
+    ) -> Tuple[List[CacheEntry], List[int]]:
+        """Collect a node's cached input entries and their estimated sizes."""
         node = dag.node(name)
-        inputs: List[Any] = []
+        entries: List[CacheEntry] = []
         input_sizes: List[int] = []
         for parent in node.parents:
             if parent not in self.cache:
@@ -477,14 +508,15 @@ class ExecutionEngine:
                     f"(evicted or never produced); the operator would run with "
                     f"fewer inputs than the DAG declares"
                 )
-            value = self.cache.get(parent)
-            inputs.append(value)
-            input_sizes.append(estimate_size_bytes(value))
-        return inputs, input_sizes
+            entry = self.cache.get_entry(parent)
+            entries.append(entry)
+            input_sizes.append(estimate_size_bytes(entry.value))
+        return entries, input_sizes
 
     def _compute_node(self, dag: WorkflowDAG, name: str) -> Tuple[Any, float]:
         node = dag.node(name)
-        inputs, input_sizes = self._gather_inputs(dag, name)
+        entries, input_sizes = self._gather_inputs(dag, name)
+        inputs = [entry.value for entry in entries]
         started = time.perf_counter()
         try:
             value = node.operator.run(inputs, self.context)
@@ -532,7 +564,9 @@ class ExecutionEngine:
             )
             return
         try:
-            artifact = self.store.put(name, signature, entry.value, iteration=iteration)
+            artifact = self.store.put(
+                name, signature, entry.value, iteration=iteration, blob=entry.blob
+            )
         except BudgetExceededError:
             self.stats.record(
                 signature,

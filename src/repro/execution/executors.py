@@ -19,8 +19,9 @@ near-duplicate engines:
     Python is GIL-limited.
   - :class:`ProcessExecutor` (``"process"``) — COMPUTE tasks are serialized
     with :mod:`repro.storage.serialization` and run on a
-    ``ProcessPoolExecutor``; the worker returns the computed value plus its
-    measured compute time, and the engine applies the cost model on receipt.
+    ``ProcessPoolExecutor``; the worker returns the computed value's
+    serialized bytes plus its measured compute time, and the engine applies
+    the cost model on receipt.
     LOAD tasks (store reads) and all bookkeeping stay in the coordinating
     process.  Best for CPU-bound pure-Python operators, which scale with
     cores instead of fighting over the GIL.
@@ -82,6 +83,7 @@ from ..exceptions import ExecutionError, OperatorError, ProtocolError
 from ..storage.canonical import content_digest
 from ..storage.serialization import (
     ArtifactRef,
+    EncodedValue,
     deserialize,
     recv_message,
     send_message,
@@ -170,15 +172,19 @@ def parse_worker_address(spec: Union[str, Tuple[str, int]]) -> Tuple[str, int]:
 
 def run_serialized_task(
     payload: bytes, resolve: Optional[Callable[[str], Any]] = None
-) -> bytes:
+) -> Tuple[bytes, float]:
     """Worker-side entry point for out-of-process COMPUTE tasks.
 
     Deserializes ``(node_name, operator, inputs, context)``, runs the
-    operator, and returns the serialized ``(value, measured_seconds)`` pair.
-    Inputs may be :class:`~repro.storage.serialization.ArtifactRef`
-    placeholders for values that live in the coordinator's store; they are
-    resolved through ``resolve(signature)`` *before* the compute timer
-    starts (fetching is I/O, not compute).  A ref without a resolver — or a
+    operator, and returns the reply ``(value_bytes, measured_seconds)``:
+    the value's own :func:`~repro.storage.serialization.serialize` bytes,
+    which the coordinator reuses for child payloads and the store write.
+    Inputs may be placeholders, replaced by their values *before* the
+    compute timer starts (fetching and decoding are I/O, not compute):
+    an :class:`~repro.storage.serialization.EncodedValue` is decoded from
+    its bytes, and an :class:`~repro.storage.serialization.ArtifactRef` for
+    a value in the coordinator's store is resolved through
+    ``resolve(signature)``.  A ref without a resolver — or a
     resolver failure — fails the task with a typed error.  Failures —
     including payload deserialization itself, which can fail on
     spawn-based platforms when the operator's module is not importable in
@@ -194,22 +200,16 @@ def run_serialized_task(
             f"platforms operators must be importable from their module "
             f"(not defined in __main__ or a notebook cell)",
         ) from exc
-    if any(isinstance(value, ArtifactRef) for value in inputs):
-        if resolve is None:
-            raise OperatorError(
-                name,
-                "task inputs reference stored artifacts but this worker has "
-                "no fetch lane to the coordinator's store",
-            )
-        try:
-            inputs = [
-                resolve(value.signature) if isinstance(value, ArtifactRef) else value
-                for value in inputs
-            ]
-        except Exception as exc:  # noqa: BLE001 - shipped back typed
-            raise OperatorError(
-                name, f"failed to fetch a stored input: {exc}"
-            ) from exc
+    if resolve is None and any(isinstance(value, ArtifactRef) for value in inputs):
+        raise OperatorError(
+            name,
+            "task inputs reference stored artifacts but this worker has "
+            "no fetch lane to the coordinator's store",
+        )
+    try:
+        inputs = [_input_value(value, resolve) for value in inputs]
+    except Exception as exc:  # noqa: BLE001 - shipped back typed
+        raise OperatorError(name, f"failed to fetch or decode an input: {exc}") from exc
     started = time.perf_counter()
     try:
         value = operator.run(inputs, context)
@@ -219,11 +219,30 @@ def run_serialized_task(
         raise OperatorError(name, str(exc)) from exc
     measured = time.perf_counter() - started
     try:
-        return serialize((value, measured))
+        return serialize(value), measured
     except Exception as exc:  # noqa: BLE001 - unpicklable operator result
         raise OperatorError(
             name, f"result of type {type(value).__name__} is not picklable: {exc}"
         ) from exc
+
+
+def _input_value(value: Any, resolve: Optional[Callable[[str], Any]]) -> Any:
+    """One shipped task input as a value: placeholders are decoded or fetched."""
+    if isinstance(value, EncodedValue):
+        return deserialize(value.blob)
+    if isinstance(value, ArtifactRef):
+        return resolve(value.signature)
+    return value
+
+
+def _decode_reply(reply: Tuple[bytes, float]) -> Tuple[Any, float, bytes]:
+    """A :func:`run_serialized_task` reply as the engine's outcome shape.
+
+    Returns ``(value, measured_seconds, value_bytes)``: the decoded value,
+    and the bytes it was decoded from for the engine to reuse.
+    """
+    value_bytes, measured = reply
+    return deserialize(value_bytes), measured, value_bytes
 
 
 class Executor(ABC):
@@ -472,10 +491,10 @@ class ProcessExecutor(_OutOfProcessExecutor):
     The engine serializes ``(node_name, operator, inputs, context)`` with
     :mod:`repro.storage.serialization` and hands the bytes to
     :meth:`submit_payload`; the worker (:func:`run_serialized_task`) returns
-    the serialized ``(value, measured_seconds)`` pair, deserialized here
-    before delivery.  LOAD tasks and retirement bookkeeping never leave the
-    coordinating process — the store, cache and stats are not shared with
-    workers.  Loads run on a small I/O thread pool (the same thread-safe
+    ``(value_bytes, measured_seconds)``, delivered here as the outcome
+    ``(value, measured_seconds, value_bytes)``.  LOAD tasks and retirement
+    bookkeeping never leave the coordinating process — the store, cache and
+    stats are not shared with workers.  Loads run on a small I/O thread pool (the same thread-safe
     substrate the thread executor uses) rather than the scheduler thread, so
     a slow store read never stalls COMPUTE dispatch to idle workers.
 
@@ -514,10 +533,13 @@ class ProcessExecutor(_OutOfProcessExecutor):
 
     # ------------------------------------------------------------------ helpers
     def _deliver_reply(
-        self, key: str, future: "Future[bytes]", results: "queue.Queue[Completion]"
+        self,
+        key: str,
+        future: "Future[Tuple[bytes, float]]",
+        results: "queue.Queue[Completion]",
     ) -> None:
         try:
-            outcome = deserialize(future.result())
+            outcome = _decode_reply(future.result())
         except BaseException as exc:  # noqa: BLE001 - surfaced by the engine
             results.put((key, None, exc))
         else:
@@ -1594,10 +1616,11 @@ class DistributedExecutor(_OutOfProcessExecutor):
     one ``("batch", ...)`` frame (their acks come back batched the same
     way).  Workers ack
     each task on receipt (a dedicated reader thread acks even while a task
-    is executing), heartbeat while idle or busy, and return the serialized
-    ``(value, measured_seconds)`` reply, deserialized here before delivery
-    — exactly the :class:`ProcessExecutor` reply contract, so the engine
-    applies the cost model identically.
+    is executing), heartbeat while idle or busy, and return the
+    ``(value_bytes, measured_seconds)`` reply, delivered as the outcome
+    ``(value, measured_seconds, value_bytes)`` — exactly the
+    :class:`ProcessExecutor` reply contract, so the engine applies the cost
+    model and reuses the bytes identically.
 
     Store access (the artifact plane): when ``fetch_inputs`` is active
     — the default for address-configured workers, which cannot assume the
@@ -2578,7 +2601,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
             try:
                 loader = getattr(store, "load_serialized", None)
                 if loader is not None:
-                    # MaterializationStores hold pickled bytes already:
+                    # MaterializationStores hold serialized bytes already:
                     # forward them instead of deserializing + re-serializing
                     # a potentially large value per fetch.
                     blob = loader(signature)
@@ -2742,7 +2765,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
         worker: _WorkerHandle,
         session_id: str,
         key: str,
-        reply: Optional[bytes] = None,
+        reply: Optional[Tuple[bytes, float]] = None,
         error: Optional[BaseException] = None,
     ) -> None:
         with self._cond:
@@ -2754,7 +2777,7 @@ class DistributedExecutor(_OutOfProcessExecutor):
             self._complete(task, None, error)
             return
         try:
-            outcome = deserialize(reply)
+            outcome = _decode_reply(reply)
         except BaseException as exc:  # noqa: BLE001 - surfaced by the engine
             self._complete(task, None, exc)
         else:

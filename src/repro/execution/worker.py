@@ -9,9 +9,10 @@ coordinator reaches through
 serves coordinator *connections* one at a time and survives across them, so
 one long-lived process amortizes interpreter startup over many runs.
 
-Within a single connection the protocol (version 5: canonical zero-copy
-frame payloads, batch envelopes and the worker-to-worker artifact plane —
-see ``repro/storage/serialization.py``) is session-multiplexed: every task,
+Within a single connection the protocol (version 6: canonical zero-copy
+frame payloads, batch envelopes, the worker-to-worker artifact plane and
+encode-once result replies — see ``repro/storage/serialization.py``) is
+session-multiplexed: every task,
 fetch and result frame carries the coordinator-side session id, so one
 coordinator — e.g. the ``repro serve`` daemon — can interleave tasks from
 several concurrent workflow runs over the same worker.  Coordinator and

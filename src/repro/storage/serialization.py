@@ -67,6 +67,12 @@ Protocol version history
   ``("peer_artifact", signature, blob | None)`` from a peer's artifact
   listener before falling back to ``fetch``; ``("cached", worker_id,
   signature)`` announces a blob obtained from a peer.
+* **6** — encode once.  A result reply is ``(value_bytes,
+  measured_seconds)``: the computed value's own :func:`serialize` bytes,
+  which the coordinator keeps next to the decoded value and reuses for
+  the child tasks' payloads and the store write.  A COMPUTE payload input
+  held only as those bytes ships as an :class:`EncodedValue` placeholder,
+  decoded by the worker before the compute timer starts.
 """
 
 from __future__ import annotations
@@ -90,6 +96,7 @@ __all__ = [
     "serialized_size",
     "estimate_size_bytes",
     "ArtifactRef",
+    "EncodedValue",
     "FRAME_MAGIC",
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
@@ -109,7 +116,7 @@ FRAME_MAGIC = b"HX"
 #: Bump on any change to the frame layout *or* to the message tuples
 #: exchanged inside frames (see the version history in the module
 #: docstring).
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 #: Upper bound on a single frame's payload (1 GiB).  A length above this is
 #: treated as a corrupt header rather than an allocation request.
@@ -159,7 +166,7 @@ def deserialize(payload: Union[bytes, bytearray, memoryview]) -> Any:
 
 
 def serialized_size(value: Any) -> int:
-    """Exact serialized size of a value in bytes (requires a full pickle pass)."""
+    """Exact serialized size of a value in bytes (requires a full encoding pass)."""
     return len(serialize(value))
 
 
@@ -168,8 +175,8 @@ def estimate_size_bytes(value: Any) -> int:
 
     Objects exposing ``estimated_size_bytes()`` (data collections, prediction
     results) are asked directly; NumPy arrays report their buffer size;
-    everything else falls back to an exact pickle size, which is fine because
-    such values (scalars, small models) are small.
+    everything else falls back to the exact serialized size, which is fine
+    because such values (scalars, small models) are small.
     """
     estimator = getattr(value, "estimated_size_bytes", None)
     if callable(estimator):
@@ -225,6 +232,33 @@ class ArtifactRef:
 
     def __setstate__(self, state: str) -> None:
         self.signature = state
+
+
+class EncodedValue:
+    """Placeholder for a task input shipped as its own serialized bytes.
+
+    The coordinator keeps the :func:`serialize` bytes an out-of-process
+    worker returned next to the decoded value.  When that value feeds a
+    child task, the payload carries ``EncodedValue(blob)`` instead of the
+    value, so the coordinator never re-encodes it; the worker decodes the
+    blob before the compute timer starts.  The canonical codec hoists a
+    blob of :data:`~repro.storage.canonical.OOB_MIN_BYTES` or more out of
+    the payload body, so it travels as a zero-copy out-of-band segment.
+    """
+
+    __slots__ = ("blob",)
+
+    def __init__(self, blob: bytes):
+        self.blob = blob
+
+    def __repr__(self) -> str:
+        return f"EncodedValue(<{len(self.blob)} bytes>)"
+
+    def __getstate__(self) -> bytes:
+        return self.blob
+
+    def __setstate__(self, state: bytes) -> None:
+        self.blob = state
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,19 @@
 
 Two implementations share the :class:`MaterializationStore` interface:
 
-* :class:`DiskStore` pickles artifacts into a directory and measures real
-  read/write times — used by the benchmark harness so that load costs are
-  genuine I/O costs.
+* :class:`DiskStore` writes each artifact's serialized bytes to a file in a
+  directory and measures real read/write times — used by the benchmark
+  harness so that load costs are genuine I/O costs.
 * :class:`InMemoryStore` keeps serialized bytes in memory and *models* the
   read/write times from a configurable disk bandwidth — used by unit tests
   and the simulated-cost experiments where determinism matters.
 
 Both enforce an optional storage budget: a ``put`` that would exceed the
-budget raises :class:`~repro.exceptions.BudgetExceededError` (callers check
-``remaining_budget`` first; the exception is the safety net).
+budget raises :class:`~repro.exceptions.BudgetExceededError` before anything
+is written (callers check ``remaining_budget`` first; the exception is the
+safety net).  Encoding happens once, in :meth:`MaterializationStore.put`,
+and only when the caller has no serialized bytes yet: backends write the
+bytes they are given.
 """
 
 from __future__ import annotations
@@ -58,13 +61,8 @@ class MaterializationStore(ABC):
 
     # ------------------------------------------------------------------ interface
     @abstractmethod
-    def _write(self, signature: str, value: Any) -> Tuple[int, float, str, str]:
-        """Persist ``value``; return ``(size_bytes, write_seconds, location, digest)``.
-
-        ``digest`` is the content digest of the serialized bytes
-        (:func:`repro.storage.canonical.content_digest`); backends that
-        cannot cheaply produce one may return ``""`` (unknown).
-        """
+    def _write(self, signature: str, payload: bytes) -> Tuple[float, str]:
+        """Persist serialized ``payload``; return ``(write_seconds, location)``."""
 
     @abstractmethod
     def _read(self, record: ArtifactRecord) -> Tuple[Any, float]:
@@ -88,30 +86,43 @@ class MaterializationStore(ABC):
             return None
         return max(self.budget_bytes - self.total_bytes(), 0)
 
-    def put(self, node_name: str, signature: str, value: Any, iteration: int = 0) -> StoredArtifact:
+    def put(
+        self,
+        node_name: str,
+        signature: str,
+        value: Any,
+        iteration: int = 0,
+        blob: Optional[bytes] = None,
+    ) -> StoredArtifact:
         """Materialize a value under its node signature.
 
-        Re-putting an existing signature is a no-op (the artifact is already
-        on disk and, by construction, identical).
+        ``blob``, when given, must be ``serialize(value)`` — typically the
+        bytes an out-of-process worker already returned — and is written as
+        is; otherwise the value is encoded here, once.  The budget check
+        runs before anything is written, so an over-budget ``put`` leaves
+        no trace.  Re-putting an existing signature is a no-op (the
+        artifact is already stored and, by construction, identical).
         """
         with self._store_lock:
             existing = self.catalog.get(signature)
             if existing is not None:
                 return StoredArtifact(existing, 0.0)
-            size_bytes, write_time, location, digest = self._write(signature, value)
+            if blob is None:
+                blob = serialize(value)
+            size_bytes = len(blob)
             if self.budget_bytes is not None and self.total_bytes() + size_bytes > self.budget_bytes:
-                self._delete(ArtifactRecord(signature, node_name, size_bytes, iteration, location))
                 raise BudgetExceededError(
                     f"materializing {node_name!r} ({size_bytes} bytes) would exceed the "
                     f"storage budget of {self.budget_bytes} bytes"
                 )
+            write_time, location = self._write(signature, blob)
             record = ArtifactRecord(
                 signature=signature,
                 node_name=node_name,
                 size_bytes=size_bytes,
                 iteration=iteration,
                 location=location,
-                digest=digest,
+                digest=content_digest(blob),
             )
             self.catalog.add(record)
             return StoredArtifact(record, write_time)
@@ -128,7 +139,7 @@ class MaterializationStore(ABC):
         """Serialized bytes of a materialized artifact; ``None`` when absent.
 
         Serves the distributed executor's artifact FETCH lane: both
-        built-in stores already hold pickled bytes, so their overrides of
+        built-in stores already hold serialized bytes, so their overrides of
         :meth:`_read_serialized` forward them without a deserialize +
         re-serialize round trip.  Backends without raw-bytes access fall
         back to ``serialize(load(...))``.
@@ -180,7 +191,13 @@ class MaterializationStore(ABC):
 
 
 class DiskStore(MaterializationStore):
-    """Pickle-per-artifact store rooted at a directory, with measured I/O times."""
+    """One serialized file per artifact under a directory, with measured I/O times.
+
+    The measured write time covers the file write only: encoding, when
+    :meth:`put` has to do it, happens before the backend is called.  Files
+    keep the ``.pkl`` suffix so catalogs persisted by earlier revisions
+    still resolve their locations.
+    """
 
     def __init__(self, root: Path, budget_bytes: Optional[int] = None):
         super().__init__(budget_bytes=budget_bytes)
@@ -190,13 +207,11 @@ class DiskStore(MaterializationStore):
     def _path_for(self, signature: str) -> Path:
         return self.root / f"{signature}.pkl"
 
-    def _write(self, signature: str, value: Any) -> Tuple[int, float, str, str]:
+    def _write(self, signature: str, payload: bytes) -> Tuple[float, str]:
         path = self._path_for(signature)
         start = time.perf_counter()
-        payload = serialize(value)
         path.write_bytes(payload)
-        elapsed = time.perf_counter() - start
-        return len(payload), elapsed, str(path), content_digest(payload)
+        return time.perf_counter() - start, str(path)
 
     def _read(self, record: ArtifactRecord) -> Tuple[Any, float]:
         path = Path(record.location) if record.location else self._path_for(record.signature)
@@ -232,15 +247,9 @@ class InMemoryStore(MaterializationStore):
     def _modelled_io_time(self, size_bytes: int) -> float:
         return self.latency_seconds + size_bytes / self.disk_bandwidth
 
-    def _write(self, signature: str, value: Any) -> Tuple[int, float, str, str]:
-        payload = serialize(value)
+    def _write(self, signature: str, payload: bytes) -> Tuple[float, str]:
         self._blobs[signature] = payload
-        return (
-            len(payload),
-            self._modelled_io_time(len(payload)),
-            "memory",
-            content_digest(payload),
-        )
+        return self._modelled_io_time(len(payload)), "memory"
 
     def _read(self, record: ArtifactRecord) -> Tuple[Any, float]:
         payload = self._blobs.get(record.signature)

@@ -295,3 +295,43 @@ class TestCanonicalDeterminism:
         copied = decode(payload)
         assert copied.flags.writeable
         assert not np.shares_memory(copied, np.frombuffer(payload, dtype=np.uint8))
+
+
+class TestArtifactEncodingFixpoint:
+    """``serialize(deserialize(b)) == b`` for real workflow artifacts.
+
+    Out-of-process executors reuse a worker's reply bytes for child payloads
+    and store writes instead of encoding the decoded value again, which is
+    only sound when every artifact's encoding is a fixpoint — including
+    values that ride the pickle fallback.  Hypothesis values above cover the
+    codec's type set; this checks every node value a real lifecycle of each
+    built-in workload produces.
+    """
+
+    @pytest.mark.parametrize("workload_name", ["census", "genomics", "mnist", "nlp"])
+    def test_every_node_value_encodes_to_a_fixpoint(self, workload_name, monkeypatch):
+        from repro.execution.cache import OperatorCache
+        from repro.execution.clock import SimulatedCostModel
+        from repro.experiments.runner import run_lifecycle
+        from repro.systems.helix import HelixSystem
+
+        checked = []
+        original_put = OperatorCache.put
+
+        def checking_put(cache, name, value, *args, **kwargs):
+            packed = serialize(value)
+            assert serialize(deserialize(packed)) == packed, (
+                f"{workload_name}:{name} ({type(value).__name__}) does not "
+                f"re-encode to the bytes it was decoded from"
+            )
+            checked.append(name)
+            return original_put(cache, name, value, *args, **kwargs)
+
+        monkeypatch.setattr(OperatorCache, "put", checking_put)
+        run_lifecycle(
+            HelixSystem.opt(cost_model=SimulatedCostModel(), seed=0),
+            workload_name,
+            n_iterations=2,
+            scale=0.25,
+        )
+        assert checked

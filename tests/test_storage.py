@@ -183,3 +183,61 @@ class TestDiskStore:
         with pytest.raises(BudgetExceededError):
             store.put("node", "sig", list(range(1000)))
         assert not any(tmp_path.glob("*.pkl"))
+
+
+def _in_memory_store(tmp_path, budget_bytes=None):
+    return InMemoryStore(budget_bytes=budget_bytes)
+
+
+def _disk_store(tmp_path, budget_bytes=None):
+    return DiskStore(tmp_path / "artifacts", budget_bytes=budget_bytes)
+
+
+def _persisted(store):
+    """Everything a store holds outside its catalog: blobs or files."""
+    if isinstance(store, DiskStore):
+        return sorted(path.name for path in store.root.iterdir())
+    return sorted(store._blobs)
+
+
+@pytest.mark.parametrize(
+    "make_store", [_in_memory_store, _disk_store], ids=["memory", "disk"]
+)
+class TestPutContract:
+    """The encode-once ``put``: one encode at most, budget checked first."""
+
+    def test_over_budget_put_writes_nothing(self, tmp_path, make_store, monkeypatch):
+        store = make_store(tmp_path, budget_bytes=64)
+        writes = []
+        original = type(store)._write
+
+        def recording_write(self, signature, payload):
+            writes.append(signature)
+            return original(self, signature, payload)
+
+        monkeypatch.setattr(type(store), "_write", recording_write)
+        with pytest.raises(BudgetExceededError):
+            store.put("node", "sig", list(range(1000)))
+        assert writes == []
+        assert _persisted(store) == []
+        assert not store.has("sig") and store.total_bytes() == 0
+
+    def test_given_blob_matches_encoding_the_value(self, tmp_path, make_store):
+        value = {"rows": list(range(200)), "weights": np.linspace(0.0, 1.0, 64)}
+        encoded = make_store(tmp_path / "a").put("node", "sig", value)
+        given = make_store(tmp_path / "b").put("node", "sig", value, blob=serialize(value))
+        assert given.record.size_bytes == encoded.record.size_bytes
+        assert given.record.digest == encoded.record.digest
+
+    def test_given_blob_is_not_encoded_again(self, tmp_path, make_store, monkeypatch):
+        import repro.storage.store as store_module
+
+        value = [1, 2, 3]
+        blob = serialize(value)
+        store = make_store(tmp_path)
+        monkeypatch.setattr(
+            store_module, "serialize", lambda v: pytest.fail("put re-encoded a given blob")
+        )
+        store.put("node", "sig", value, blob=blob)
+        assert store.load_serialized("sig") == blob
+        assert store.load("sig")[0] == value
